@@ -17,7 +17,7 @@ from .dataset import (
     scan_dataset,
     split_identities,
 )
-from .evaluate import EvalReport, cmc_curve, evaluate, l2_distance, rank_identities
+from .evaluate import EvalReport, cmc_curve, evaluate
 from .imaging import (
     Image,
     Rect,
@@ -35,12 +35,14 @@ from .model import (
     TrainConfig,
     backward,
     extract_feature,
+    extract_features,
     forward,
     id_loss,
     init_params,
     load_checkpoint,
     multi_task_loss,
     obc_loss,
+    preprocess_image,
     save_checkpoint,
     sgd_step,
     train,

@@ -14,6 +14,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .evaluate import AGGREGATES
+
 
 @dataclass
 class DatasetSection:
@@ -143,6 +145,13 @@ def load_config(path) -> ExperimentConfig:
                 setattr(target, key, _parse_value(raw, getattr(target, key)))
             except ValueError as e:
                 raise ValueError(f"{path}: [{section}] {key}: {e}") from e
+    ev = cfg.eval
+    if ev.aggregate not in AGGREGATES:
+        raise ValueError(f"{path}: [eval] aggregate: {ev.aggregate!r} is not one of {AGGREGATES}")
+    if not ev.shots or min(ev.shots) < 1:
+        raise ValueError(f"{path}: [eval] shots: need one or more counts >= 1, got {ev.shots}")
+    if ev.trials < 1:
+        raise ValueError(f"{path}: [eval] trials: must be >= 1, got {ev.trials}")
     return cfg
 
 

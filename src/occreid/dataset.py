@@ -127,17 +127,19 @@ def make_probe_gallery(samples, shots: int, rng: SplitMix64) -> ProbeGallery:
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    identities = sorted({s.identity for s in samples})
+    fulls = {ident: [] for ident in sorted({s.identity for s in samples})}
+    for s in samples:
+        if s.occlusion is Occlusion.FULL_BODY:
+            fulls[s.identity].append(s)
     has_real = any(s.occlusion is Occlusion.REAL for s in samples)
     probe_kind = Occlusion.REAL if has_real else Occlusion.ARTIFICIAL
     gallery = {}
-    for ident in identities:
-        fulls = [s for s in samples if s.identity == ident and s.occlusion is Occlusion.FULL_BODY]
-        if len(fulls) < shots:
+    for ident, members in fulls.items():
+        if len(members) < shots:
             raise InsufficientShots(
-                f"identity {ident} has {len(fulls)} full-body images, need {shots}"
+                f"identity {ident} has {len(members)} full-body images, need {shots}"
             )
-        gallery[ident] = tuple(rng.sample(fulls, shots))
+        gallery[ident] = tuple(rng.sample(members, shots))
     probes = tuple(s for s in samples if s.occlusion is probe_kind)
     return ProbeGallery(probes, gallery, shots)
 

@@ -57,6 +57,10 @@ class NonFiniteGradient(OccReidError):
     """A gradient tensor contains NaN or Inf."""
 
 
+class NonFiniteFeature(OccReidError):
+    """A probe-to-gallery distance is NaN or Inf (broken model features)."""
+
+
 class LengthMismatch(OccReidError):
     """Feature vectors of different lengths compared."""
 

@@ -28,7 +28,6 @@ from .dataset import (
     Occlusion,
     PersonSample,
     generate_synthetic_dataset,
-    make_probe_gallery,
     scan_dataset,
     split_identities,
 )
@@ -39,6 +38,7 @@ from .model import (
     ConvSpec,
     ModelParams,
     TrainConfig,
+    extract_features,
     load_checkpoint,
     preprocess_image,
     save_checkpoint,
@@ -293,13 +293,15 @@ def _write_report(report: EvalReport, path: Path) -> None:
 
 
 def evaluate_model(cfg: ExperimentConfig, params: ModelParams, data: ExperimentData) -> dict:
-    reports = {}
-    for n in cfg.eval.shots:
-        seed_n = derive_seed(derive_seed(cfg.run.seed, TAG_EVAL), n)
-        reports[n] = evaluate(
-            params, data.test_samples, n, cfg.eval.trials, seed_n, cfg.eval.aggregate
-        )
-    return reports
+    """One report per shot count; test features are extracted once."""
+    samples = data.test_samples
+    feats = extract_features(params, [preprocess_image(s.image, params.arch) for s in samples])
+    ev = cfg.eval
+    eval_seed = derive_seed(cfg.run.seed, TAG_EVAL)
+    return {
+        n: evaluate(feats, samples, n, ev.trials, derive_seed(eval_seed, n), ev.aggregate)
+        for n in ev.shots
+    }
 
 
 def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
@@ -310,21 +312,12 @@ def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
     (out_dir / "split.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_trial_manifest(cfg: ExperimentConfig, data: ExperimentData, n: int, path: Path):
-    """Replay the per-trial gallery draws (same derivation as evaluate) so
-    every probe/gallery composition is on record with its trial seed."""
-    seed_n = derive_seed(derive_seed(cfg.run.seed, TAG_EVAL), n)
+def _write_trial_manifest(report: EvalReport, path: Path) -> None:
+    """Every trial's gallery draw with its trial seed, then the probes."""
     lines = ["# trial\tseed\tidentity\tgallery_sample_ids"]
-    probes_line = None
-    for t in range(cfg.eval.trials):
-        trial_seed = derive_seed(seed_n, t)
-        pg = make_probe_gallery(data.test_samples, n, SplitMix64(trial_seed))
-        for ident in sorted(pg.gallery):
-            ids = ",".join(s.id for s in pg.gallery[ident])
-            lines.append(f"{t}\t{trial_seed}\t{ident}\t{ids}")
-        if probes_line is None:
-            probes_line = ",".join(s.id for s in pg.probes)
-    lines.append(f"# probes\t{probes_line}")
+    for t, (trial_seed, draw) in enumerate(zip(report.per_trial_seeds, report.draws)):
+        lines += [f"{t}\t{trial_seed}\t{ident}\t{','.join(ids)}" for ident, ids in draw]
+    lines.append("# probes\t" + ",".join(report.probe_ids))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -339,7 +332,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     series = []
     for n, rep in sorted(reports.items()):
         _write_report(rep, out_dir / f"cmc_n{n}.tsv")
-        _write_trial_manifest(cfg, data, n, out_dir / f"gallery_n{n}.tsv")
+        _write_trial_manifest(rep, out_dir / f"gallery_n{n}.tsv")
         summary.append(f"{n}\t{rep.rank1!r}\t{rep.rank5!r}\t{rep.rank10!r}")
         ranks = list(range(1, len(rep.cmc) + 1))
         series.append((f"N={n}", ranks, [r * 100 for r in rep.cmc]))

@@ -323,6 +323,25 @@ class TestExitCodes:
         assert main(["train", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["shots =", "shots = 1,0", "aggregate = median", "trials = 0"])
+    def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, bad):
+        from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+
+        key = bad.split()[0]
+        lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("\n".join(lines).replace("[eval]", f"[eval]\n{bad}"), encoding="utf-8")
+        ckpt = tmp_path / "c.bin"
+        arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        save_checkpoint(init_params(arch, 2, 0), ckpt)
+        out = tmp_path / "out"
+        code = main(["eval", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and f"[eval] {key}" in err
+        assert "Traceback" not in err
+        assert not (out / "eval" / "summary.tsv").exists()
+
     def test_data_error_missing_checkpoint(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -338,6 +357,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_data_error_non_finite_checkpoint(self, tmp_path, config_path, capsys):
+        # inf weights (as a diverged run saves them) give NaN features; eval
+        # must fail instead of ranking NaN scores as perfect matches
+        from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+
+        arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        params = init_params(arch, 2, 0)
+        params.conv_w[0][...] = np.inf
+        ckpt = tmp_path / "inf.bin"
+        save_checkpoint(params, ckpt)
+        out = tmp_path / "out"
+        args = ["eval", "--config", str(config_path), "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main(args) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (out / "eval" / "summary.tsv").exists()
 
     def test_env_var_out_dir(self, tmp_path, config_path, monkeypatch):
         env_out = tmp_path / "env_out"

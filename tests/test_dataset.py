@@ -182,6 +182,25 @@ class TestProbeGallery:
         pg = make_probe_gallery(samples, 2, SplitMix64(8))
         assert {p.identity for p in pg.probes} <= set(pg.gallery)
 
+    def test_draws_match_per_identity_scan_on_interleaved_samples(self):
+        # identities interleaved and out of order: each draw must still see
+        # that identity's full-body samples in their original order
+        from occreid.occsim import OcclusionConfig, build_occlusion_set, combine
+
+        samples = generate_synthetic_dataset(4, 5, 8, 16, SplitMix64(6))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4, seed=1))
+        both = combine(samples, z)
+        mixed = both[::-2] + both[::2]
+        for seed in range(5):
+            rng = SplitMix64(seed)
+            want = {}
+            for ident in sorted({s.identity for s in mixed}):
+                fulls = [
+                    s for s in mixed if s.identity == ident and s.occlusion is Occlusion.FULL_BODY
+                ]
+                want[ident] = tuple(rng.sample(fulls, 2))
+            assert make_probe_gallery(mixed, 2, SplitMix64(seed)).gallery == want
+
 
 class TestSyntheticGenerator:
     def test_cardinality_and_flags(self):

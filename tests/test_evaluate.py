@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occreid.dataset import generate_synthetic_dataset
-from occreid.errors import LengthMismatch, UnknownProbeIdentity
-from occreid.evaluate import cmc_curve, evaluate, l2_distance, rank_identities
-from occreid.model import ArchSpec, ConvSpec, init_params
+from occreid.errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
+from occreid.evaluate import cmc_curve, evaluate
+from occreid.model import ArchSpec, ConvSpec, extract_features, init_params, preprocess_image
 from occreid.occsim import OcclusionConfig, build_occlusion_set, combine
 from occreid.rng import SplitMix64
 
@@ -34,80 +34,6 @@ def brute_force_cmc(probes, gallery, shots=None):
         acc += h
         out.append(acc / len(probes))
     return out
-
-
-class TestL2:
-    def test_identical_vectors(self):
-        assert l2_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_three_four_five(self):
-        assert l2_distance([0.0, 3.0], [4.0, 0.0]) == pytest.approx(5.0, abs=1e-15)
-
-    def test_random_pair_matches_sqrt_sum_squares(self):
-        gen = np.random.Generator(np.random.PCG64(2))
-        a, b = gen.normal(size=16), gen.normal(size=16)
-        expected = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-        assert l2_distance(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_symmetry(self):
-        gen = np.random.Generator(np.random.PCG64(3))
-        a, b = gen.normal(size=8), gen.normal(size=8)
-        assert l2_distance(a, b) == l2_distance(b, a)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            l2_distance([1.0], [1.0, 2.0])
-
-
-class TestRankIdentities:
-    def test_exact_match_ranks_first(self):
-        gallery = {1: [np.array([0.0, 0.0])], 2: [np.array([5.0, 5.0])]}
-        assert rank_identities(np.array([5.0, 5.0]), gallery)[0] == 2
-
-    def test_tie_broken_by_lower_label(self):
-        gallery = {3: [np.array([1.0, 0.0])], 1: [np.array([-1.0, 0.0])]}
-        assert rank_identities(np.array([0.0, 0.0]), gallery) == [1, 3]
-
-    def test_two_shot_matches_hand_computation(self):
-        # four identities, two 2-d features each; identity score is the min
-        # of its two distances, checked against all eight explicit distances
-        gallery = {
-            1: [np.array([0.0, 0.0]), np.array([10.0, 10.0])],
-            2: [np.array([3.0, 0.0]), np.array([0.0, 3.0])],
-            3: [np.array([1.0, 1.0]), np.array([9.0, 9.0])],
-            4: [np.array([-2.0, -2.0]), np.array([2.0, 2.0])],
-        }
-        probe = np.array([1.0, 0.0])
-        dists = {
-            1: min(1.0, math.sqrt(81 + 100)),
-            2: min(2.0, math.sqrt(1 + 9)),
-            3: min(1.0, math.sqrt(64 + 81)),
-            4: min(math.sqrt(9 + 4), math.sqrt(1 + 4)),
-        }
-        expected = [i for _, i in sorted((d, i) for i, d in dists.items())]
-        assert rank_identities(probe, gallery) == expected
-        assert expected == [1, 3, 2, 4]  # frozen from the hand computation
-
-    def test_mean_aggregate_changes_ordering(self):
-        gallery = {
-            1: [np.array([0.0]), np.array([100.0])],
-            2: [np.array([2.0]), np.array([2.0])],
-        }
-        probe = np.array([0.0])
-        assert rank_identities(probe, gallery, "min") == [1, 2]
-        assert rank_identities(probe, gallery, "mean") == [2, 1]
-
-    def test_scale_equivariance(self):
-        gen = np.random.Generator(np.random.PCG64(6))
-        gallery = {i: [gen.normal(size=4) for _ in range(2)] for i in range(5)}
-        probe = gen.normal(size=4)
-        base = rank_identities(probe, gallery)
-        scaled = {i: [7.5 * g for g in v] for i, v in gallery.items()}
-        assert rank_identities(7.5 * probe, scaled) == base
-
-    def test_bad_aggregate(self):
-        with pytest.raises(ValueError):
-            rank_identities(np.zeros(2), {1: [np.zeros(2)]}, "median")
 
 
 class TestCmcCurve:
@@ -160,6 +86,95 @@ class TestCmcCurve:
         reverse_order = cmc_curve(probes, dict(sorted(feats.items(), reverse=True))).cmc
         assert forward_order == reverse_order
 
+    def test_exact_match_ranks_first(self):
+        gallery = {1: [np.array([0.0, 0.0])], 2: [np.array([5.0, 5.0])]}
+        assert cmc_curve([(np.array([5.0, 5.0]), 2)], gallery).cmc == (1.0, 1.0)
+
+    def test_tie_broken_by_lower_label(self):
+        # equidistant from identities 1 and 3; the true identity 3 loses the
+        # tie to the lower label and lands at rank 2
+        gallery = {3: [np.array([1.0, 0.0])], 1: [np.array([-1.0, 0.0])]}
+        assert cmc_curve([(np.array([0.0, 0.0]), 3)], gallery).cmc == (0.0, 1.0)
+
+    def test_three_four_five_tie_exact_far_from_origin(self):
+        # both distances are exactly 5 when computed from differences; the
+        # |a|^2 + |b|^2 - 2ab expansion rounds them apart (5.29 vs 4.90)
+        c = np.array([1e8 + 0.25, 3e7 + 0.5])
+        gallery = {1: [c + [3.0, 4.0]], 2: [c + [4.0, 3.0]]}
+        assert cmc_curve([(c, 2)], gallery).cmc == (0.0, 1.0)
+        assert cmc_curve([(c, 1)], gallery).cmc == (1.0, 1.0)
+
+    def test_two_shot_matches_hand_computation(self):
+        # four identities, two 2-d features each; identity score is the min
+        # of its two distances, checked against all eight explicit distances
+        gallery = {
+            1: [np.array([0.0, 0.0]), np.array([10.0, 10.0])],
+            2: [np.array([3.0, 0.0]), np.array([0.0, 3.0])],
+            3: [np.array([1.0, 1.0]), np.array([9.0, 9.0])],
+            4: [np.array([-2.0, -2.0]), np.array([2.0, 2.0])],
+        }
+        probe = np.array([1.0, 0.0])
+        dists = {
+            1: min(1.0, math.sqrt(81 + 100)),
+            2: min(2.0, math.sqrt(1 + 9)),
+            3: min(1.0, math.sqrt(64 + 81)),
+            4: min(math.sqrt(9 + 4), math.sqrt(1 + 4)),
+        }
+        expected = [i for _, i in sorted((d, i) for i, d in dists.items())]
+        assert expected == [1, 3, 2, 4]  # frozen from the hand computation
+        for rank, ident in enumerate(expected):
+            cmc = cmc_curve([(probe, ident)], gallery).cmc
+            assert cmc == tuple(float(r >= rank) for r in range(4))
+        assert cmc_curve([(probe, 1)], gallery).shots == 2
+
+    def test_mean_aggregate_changes_ordering(self):
+        gallery = {
+            1: [np.array([0.0]), np.array([100.0])],
+            2: [np.array([2.0]), np.array([2.0])],
+        }
+        probes = [(np.array([0.0]), 1)]
+        assert cmc_curve(probes, gallery, "min").cmc == (1.0, 1.0)
+        assert cmc_curve(probes, gallery, "mean").cmc == (0.0, 1.0)
+
+    def test_scale_equivariance(self):
+        gen = np.random.Generator(np.random.PCG64(6))
+        gallery = {i: [gen.normal(size=4) for _ in range(2)] for i in range(5)}
+        probes = [(gen.normal(size=4), i) for i in range(5) for _ in range(3)]
+        base = cmc_curve(probes, gallery).cmc
+        scaled = {i: [7.5 * g for g in v] for i, v in gallery.items()}
+        assert cmc_curve([(7.5 * f, i) for f, i in probes], scaled).cmc == base
+
+    def test_bad_aggregate(self):
+        with pytest.raises(ValueError, match="aggregate"):
+            cmc_curve([(np.zeros(2), 1)], {1: [np.zeros(2)]}, "median")
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            cmc_curve([(np.zeros(1), 1)], {1: [np.zeros(2)]})
+        with pytest.raises(LengthMismatch):
+            cmc_curve([(np.zeros(2), 1)], {1: [np.zeros(2)], 2: [np.zeros(3)]})
+
+    def test_empty_gallery(self):
+        with pytest.raises(ValueError, match="empty gallery"):
+            cmc_curve([(np.zeros(2), 1)], {})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["probe", "true identity", "other identity"])
+    def test_non_finite_features_rejected(self, bad, where):
+        # a NaN score compares false both ways and would rank first
+        probe = np.array([bad, 0.0]) if where == "probe" else np.zeros(2)
+        gallery = {1: [np.ones(2)], 2: [np.full(2, 2.0)]}
+        if where != "probe":
+            gallery[1 if where == "true identity" else 2] = [np.array([0.0, bad])]
+        for aggregate in ("min", "mean"):
+            with pytest.raises(NonFiniteFeature):
+                cmc_curve([(probe, 1)], gallery, aggregate)
+
+    def test_uneven_gallery_names_identity(self):
+        gallery = {1: [np.zeros(2), np.ones(2)], 2: [np.zeros(2)], 3: [np.ones(2)] * 2}
+        with pytest.raises(ValueError, match="identity 2 "):
+            cmc_curve([(np.zeros(2), 1)], gallery)
+
     @settings(max_examples=30, derandomize=True)
     @given(
         seed=st.integers(0, 10**6),
@@ -186,36 +201,37 @@ def setup():
         input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2))
     )
     params = init_params(arch, 4, 9)
-    return params, combine(samples, z)
+    samples = combine(samples, z)
+    return extract_features(params, [preprocess_image(s.image, arch) for s in samples]), samples
 
 
 class TestEvaluate:
     def test_single_trial_equals_cmc_curve_path(self, setup):
-        params, samples = setup
-        a = evaluate(params, samples, 2, trials=1, seed=42)
-        b = evaluate(params, samples, 2, trials=1, seed=42)
+        feats, samples = setup
+        a = evaluate(feats, samples, 2, trials=1, seed=42)
+        b = evaluate(feats, samples, 2, trials=1, seed=42)
         assert a == b
         assert a.trials == 1 and a.shots == 2
         assert len(a.per_trial_seeds) == 1
 
     def test_default_shape_and_seed_recording(self, setup):
-        params, samples = setup
-        report = evaluate(params, samples, 1, trials=10, seed=3)
+        feats, samples = setup
+        report = evaluate(feats, samples, 1, trials=10, seed=3)
         assert report.trials == 10
         assert len(report.per_trial_seeds) == 10
         assert len(set(report.per_trial_seeds)) == 10
         assert len(report.cmc) == 4  # gallery identity count
 
     def test_average_remains_nondecreasing(self, setup):
-        params, samples = setup
+        feats, samples = setup
         for seed in range(5):
-            rep = evaluate(params, samples, 1, trials=4, seed=seed)
+            rep = evaluate(feats, samples, 1, trials=4, seed=seed)
             assert all(a <= b + 1e-12 for a, b in zip(rep.cmc, rep.cmc[1:]))
             assert rep.cmc[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_fields_consistent_with_curve(self, setup):
-        params, samples = setup
-        rep = evaluate(params, samples, 2, trials=3, seed=8)
+        feats, samples = setup
+        rep = evaluate(feats, samples, 2, trials=3, seed=8)
         assert rep.rank1 == pytest.approx(rep.cmc[0] * 100)
         # only 4 identities: rank5/rank10 clamp to the final rank
         assert rep.rank5 == pytest.approx(rep.cmc[-1] * 100)
@@ -225,12 +241,9 @@ class TestEvaluate:
         # replay each trial by hand: trial t draws its gallery with a
         # generator seeded derive_seed(seed, t), features are shared
         from occreid.dataset import make_probe_gallery
-        from occreid.model import extract_features, preprocess_image
         from occreid.rng import SplitMix64, derive_seed
 
-        params, samples = setup
-        prepped = [preprocess_image(s.image, params.arch) for s in samples]
-        feats = extract_features(params, prepped)
+        feats, samples = setup
         feat_of = {s.id: feats[i] for i, s in enumerate(samples)}
         curves = []
         for t in range(3):
@@ -238,5 +251,22 @@ class TestEvaluate:
             gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
             probes = [(feat_of[s.id], s.identity) for s in pg.probes]
             curves.append(cmc_curve(probes, gallery).cmc)
-        avg = evaluate(params, samples, 1, trials=3, seed=77)
+        avg = evaluate(feats, samples, 1, trials=3, seed=77)
         assert np.allclose(avg.cmc, np.mean(curves, axis=0), atol=1e-15)
+
+    def test_draws_record_each_trial_gallery(self, setup):
+        from occreid.dataset import make_probe_gallery
+        from occreid.rng import SplitMix64, derive_seed
+
+        feats, samples = setup
+        rep = evaluate(feats, samples, 2, trials=3, seed=5)
+        assert len(rep.draws) == 3
+        for t, draw in enumerate(rep.draws):
+            pg = make_probe_gallery(samples, 2, SplitMix64(derive_seed(5, t)))
+            assert draw == tuple((i, tuple(s.id for s in m)) for i, m in sorted(pg.gallery.items()))
+            assert rep.probe_ids == tuple(s.id for s in pg.probes)
+
+    def test_feature_rows_must_match_samples(self, setup):
+        feats, samples = setup
+        with pytest.raises(ValueError, match="feature rows"):
+            evaluate(feats[1:], samples, 1, trials=1)
