@@ -34,7 +34,6 @@ from .model import (
     ModelParams,
     TrainConfig,
     backward,
-    extract_feature,
     extract_features,
     forward,
     id_loss,
@@ -57,6 +56,6 @@ from .occsim import (
     simulate_occlusion,
 )
 from .rng import SplitMix64, derive_seed
-from .saliency import SaliencyMap, binarize, detection_precision, saliency_map
+from .saliency import SaliencyMap, binarize, detection_precision, saliency_maps
 
 __version__ = "0.1.0"

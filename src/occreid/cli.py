@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import NonFiniteGradient, OccReidError
+from .errors import NonFiniteGradient, NonFiniteParameter, OccReidError
 from .pipeline import (
     run_ablation,
     run_alpha_sweep,
@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=Path, help="INI experiment config")
         p.add_argument("--seed", type=int, help="override run seed")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--jobs", type=int, help="worker count (default 1, bit-exact)")
         p.add_argument("--no-os", action="store_true", help="disable the occlusion simulator")
         p.add_argument("--no-obc", action="store_true", help="disable the occlusion loss (alpha=1)")
 
@@ -70,8 +69,6 @@ def _resolve(args) -> tuple[ExperimentConfig, Path]:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.run.seed = args.seed
-    if args.jobs is not None:
-        cfg.run.jobs = args.jobs
     if args.no_os:
         cfg.run.use_os = False
     if args.no_obc:
@@ -128,7 +125,7 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except NonFiniteGradient as e:
+    except (NonFiniteGradient, NonFiniteParameter) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except (OccReidError, FileNotFoundError) as e:

@@ -78,7 +78,6 @@ class SaliencySection:
 class RunSection:
     seed: int = 7
     out: str = "out"
-    jobs: int = 1
     use_os: bool = True
     use_obc: bool = True
 

@@ -57,6 +57,10 @@ class NonFiniteGradient(OccReidError):
     """A gradient tensor contains NaN or Inf."""
 
 
+class NonFiniteParameter(OccReidError):
+    """A weight is NaN or Inf, or overflows float32 when checkpointed."""
+
+
 class NonFiniteFeature(OccReidError):
     """A probe-to-gallery distance is NaN or Inf (broken model features)."""
 

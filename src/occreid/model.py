@@ -17,11 +17,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CorruptData,
     LabelOutOfRange,
     NonFiniteGradient,
+    NonFiniteParameter,
     ShapeMismatch,
     UnsupportedFormat,
 )
@@ -29,6 +31,7 @@ from .imaging import Image, jittered_center_crop, resize
 from .rng import SplitMix64, derive_seed
 
 _MAGIC = b"OCREID01"
+FORWARD_CHUNK = 16  # images per forward outside training; bounds the activation memory
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,10 @@ def train(
 ):
     """SGD over the sample set with jittered center-crop augmentation.
 
+    The resized set is stacked once as an (N, R, R, C) uint8 array; each
+    batch gathers its crops from a window view of it in one indexing step
+    and is converted to float at once.
+
     Identity labels are remapped to contiguous 0..K-1 (sorted order) and
     the occlusion flag of each sample supplies the binary target. Batches
     walk repeated uniform shuffles of the set. Returns the final params
@@ -382,12 +389,14 @@ def train(
             f"params expect {params.num_classes} classes, set has {len(identities)}"
         )
     jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
-    if arch.input_side + 2 * jitter > arch.resize_side:
-        raise ValueError(f"jitter {jitter} too large for {arch.resize_side} resize")
+    if not 0 <= jitter <= arch.default_jitter:
+        raise ValueError(f"max_jitter {jitter} outside [0, {arch.default_jitter}], the crop margin")
     cache = resize_cache or {}
-    resized = [
-        cache.get(s.id) or resize(s.image, arch.resize_side, arch.resize_side) for s in samples
-    ]
+    side = arch.resize_side
+    stack = np.stack([(cache.get(s.id) or resize(s.image, side, side)).pixels for s in samples])
+    # every input_side crop as a view, indexed (sample, y, x) -> (C, S, S)
+    crops = sliding_window_view(stack, (arch.input_side, arch.input_side), axis=(1, 2))
+    center = (side - arch.input_side) // 2
     order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start_iteration))
     jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start_iteration))
 
@@ -401,12 +410,11 @@ def train(
             queue.extend(block)
         batch = queue[: cfg.batch_size]
         del queue[: cfg.batch_size]
-        crops = [
-            jittered_center_crop(resized[idx], arch.input_side, jitter, jitter_rng)
-            for idx in batch
-        ]
-        x = np.stack([im.to_float() for im in crops]).transpose(0, 3, 1, 2)
-        trace = forward(params, x)
+        # one (x, y) offset per crop in batch order, drawn as jittered_center_crop draws it
+        shift = np.zeros((len(batch), 2), dtype=np.int64)
+        if jitter:
+            shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]
+        trace = forward(params, _to_input(crops[batch, center + shift[:, 1], center + shift[:, 0]]))
         lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
         history.append((it, cfg.alpha * lp + (1.0 - cfg.alpha) * lo, lp, lo))
         grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
@@ -420,49 +428,59 @@ def train(
     return params, history
 
 
-def preprocess_image(
-    image: Image, arch: ArchSpec, max_jitter: int = 0, rng: SplitMix64 | None = None
-) -> Image:
-    """Resize to the square resize_side then (jittered) center-crop to the
-    network input side. Evaluation uses max_jitter=0."""
+def preprocess_image(image: Image, arch: ArchSpec) -> Image:
+    """Resize to the square resize_side then center-crop to the network
+    input side, as evaluation and saliency see an image."""
     resized = resize(image, arch.resize_side, arch.resize_side)
-    return jittered_center_crop(resized, arch.input_side, max_jitter, rng)
+    return jittered_center_crop(resized, arch.input_side, 0)
 
 
-def _image_to_input(image: Image, arch: ArchSpec) -> np.ndarray:
-    if (
-        image.width != arch.input_side
-        or image.height != arch.input_side
-        or image.channels != arch.in_channels
-    ):
-        raise ShapeMismatch(
-            f"expected {arch.input_side}x{arch.input_side}x{arch.in_channels} input, "
-            f"got {image.width}x{image.height}x{image.channels}"
-        )
-    return image.to_float().transpose(2, 0, 1)
+def _to_input(pixels: np.ndarray) -> np.ndarray:
+    """(B, C, S, S) uint8 pixels -> float64 network input in [0, 1]."""
+    return pixels.astype(np.float64) / 255.0
 
 
-def extract_feature(params: ModelParams, image: Image) -> np.ndarray:
-    """Trunk output h(x): the pooled last-conv activations, length D."""
-    trace = forward(params, _image_to_input(image, params.arch)[None])
-    return trace.feature[0]
+def forward_images(params: ModelParams, images):
+    """Forward traces of already-preprocessed images, FORWARD_CHUNK at a time."""
+    arch = params.arch
+    want = (arch.input_side, arch.input_side, arch.in_channels)
+    for im in images:
+        if im.pixels.shape != want:
+            raise ShapeMismatch(f"expected (H, W, C) = {want} input, got {im.pixels.shape}")
+    for i in range(0, len(images), FORWARD_CHUNK):
+        pixels = np.stack([im.pixels for im in images[i : i + FORWARD_CHUNK]])
+        yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2)))
 
 
-def extract_features(params: ModelParams, images, batch_size: int = 64) -> np.ndarray:
-    """Stacked features for a list of already-preprocessed images."""
-    chunks = []
-    for i in range(0, len(images), batch_size):
-        x = np.stack([_image_to_input(im, params.arch) for im in images[i : i + batch_size]])
-        chunks.append(forward(params, x).feature)
+def extract_features(params: ModelParams, images) -> np.ndarray:
+    """Trunk outputs h(x), one row of length D per already-preprocessed image."""
+    chunks = [trace.feature for trace in forward_images(params, images)]
     return np.concatenate(chunks) if chunks else np.empty((0, params.arch.feature_dim))
+
+
+def _float32_tensors(params: ModelParams) -> list:
+    """(name, float32 array) pairs as a checkpoint stores them.
+
+    Raises NonFiniteParameter when a tensor holds NaN or inf, or a value
+    beyond the float32 range that the cast would turn into inf.
+    """
+    out = []
+    for name, arr in params.tensors():
+        with np.errstate(over="ignore"):
+            narrow = arr.astype("<f4")
+        if not np.all(np.isfinite(narrow)):
+            raise NonFiniteParameter(
+                f"{name} is not finite in float32 (largest |value| {float(np.abs(arr).max())!r})"
+            )
+        out.append((name, narrow))
+    return out
 
 
 def to_checkpoint_precision(params: ModelParams) -> ModelParams:
     """Round every tensor through float32, exactly as a checkpoint
     save/load does, so in-memory and on-disk paths evaluate identically."""
     return _params_from_dict(
-        params.arch,
-        {name: arr.astype(np.float32).astype(np.float64) for name, arr in params.tensors()},
+        params.arch, {name: arr.astype(np.float64) for name, arr in _float32_tensors(params)}
     )
 
 
@@ -474,8 +492,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     for c in a.convs:
         parts.append(struct.pack("<3I", c.out_channels, c.kernel, c.stride))
     parts.append(struct.pack("<I", params.num_classes))
-    for _, arr in params.tensors():
-        parts.append(arr.astype("<f4").tobytes())
+    parts += [arr.tobytes() for _, arr in _float32_tensors(params)]
     Path(path).write_bytes(b"".join(parts))
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from .model import (
 )
 from .occsim import OcclusionConfig, build_occlusion_set, combine
 from .rng import SplitMix64, derive_seed
-from .saliency import binarize, detection_precision, saliency_map
+from .saliency import binarize, detection_precision, saliency_maps
 from .svgplot import line_plot
 
 # Stream tags hung off run.seed; fixed so artifacts are stable across runs.
@@ -323,8 +322,8 @@ def _write_trial_manifest(report: EvalReport, path: Path) -> None:
 
 def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
     params = load_checkpoint(checkpoint)
+    _write_provenance(cfg, out_dir)
     data = prepare_experiment(cfg)
     reports = evaluate_model(cfg, params, data)
     _write_split_manifest(data, out_dir)
@@ -382,10 +381,10 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
 def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     """Train and evaluate once per loss weight; table sorted by alpha."""
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
+    _write_provenance(cfg, out_dir)
     results = {}
     for a in sorted(alphas):
         sub = dataclasses.replace(
@@ -430,24 +429,16 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
     With a second checkpoint, emit a two-row comparison of mean precision.
     """
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
-    data = prepare_experiment(cfg)
-    samples = data.test_samples
-    checkpoints = [("model", Path(checkpoint))]
+    checkpoints = [("model", load_checkpoint(checkpoint))]
     if compare is not None:
-        checkpoints.append(("compare", Path(compare)))
+        checkpoints.append(("compare", load_checkpoint(compare)))
+    _write_provenance(cfg, out_dir)
+    samples = prepare_experiment(cfg).test_samples
     summary = {}
-    for label, ckpt_path in checkpoints:
-        params = load_checkpoint(ckpt_path)
+    for label, params in checkpoints:
         map_dir = out_dir / ("maps" if label == "model" else f"maps_{label}")
         map_dir.mkdir(exist_ok=True)
-        prepped = [preprocess_image(s.image, params.arch) for s in samples]
-        jobs = max(1, cfg.run.jobs)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                maps = list(pool.map(lambda im: saliency_map(params, im), prepped))
-        else:
-            maps = [saliency_map(params, im) for im in prepped]
+        maps = saliency_maps(params, [preprocess_image(s.image, params.arch) for s in samples])
         rows = ["# sample_id\tprecision"]
         precisions = []
         for s, smap in zip(samples, maps):

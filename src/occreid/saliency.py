@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatch, EmptySalientRegionWarning
 from .imaging import Image, bilinear_resize_array
-from .model import ModelParams, _image_to_input, forward
+from .model import ModelParams, forward_images
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,14 @@ def map_from_feature_maps(maps: np.ndarray, out_side: int) -> SaliencyMap:
     return SaliencyMap(_normalize(upsampled))
 
 
-def saliency_map(params: ModelParams, image: Image) -> SaliencyMap:
-    """Map for one network-input-sized image; output dims equal input dims."""
-    trace = forward(params, _image_to_input(image, params.arch)[None])
-    return map_from_feature_maps(trace.last_maps[0], params.arch.input_side)
+def saliency_maps(params: ModelParams, images) -> list:
+    """One map per network-input-sized image; output dims equal input dims."""
+    side = params.arch.input_side
+    return [
+        map_from_feature_maps(maps, side)
+        for trace in forward_images(params, images)
+        for maps in trace.last_maps
+    ]
 
 
 def binarize(smap: SaliencyMap, quantile: float = 0.5) -> Image:

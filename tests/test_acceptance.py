@@ -2,8 +2,9 @@
 
 One test per acceptance criterion; each prints a [PASS] line with its
 headline numbers when it succeeds. The ablation and sweep tests exercise
-the synthetic end-to-end pipeline at desk scale and take a few minutes;
-everything else finishes in seconds.
+the synthetic end-to-end pipeline at desk scale and take a few minutes
+(marked slow; `pytest -m "not slow"` skips them); everything else
+finishes in seconds.
 """
 
 import dataclasses
@@ -34,7 +35,7 @@ from occreid.model import (
 from occreid.occsim import OcclusionConfig, simulate_occlusion
 from occreid.pipeline import evaluate_model, prepare_experiment, train_model
 from occreid.rng import SplitMix64, derive_seed
-from occreid.saliency import binarize, detection_precision, saliency_map
+from occreid.saliency import binarize, detection_precision, saliency_maps
 
 from .test_evaluate import brute_force_cmc
 from .test_model import fd_gradients, shift_biases
@@ -185,6 +186,7 @@ class TestCriterion3OcclusionInvariant:
 
 
 class TestCriterion4DirectionalAblation:
+    @pytest.mark.slow
     def test_ablation_ordering_and_margin(self):
         t0 = time.time()
         replicates = 5
@@ -211,6 +213,7 @@ class TestCriterion4DirectionalAblation:
 
 
 class TestCriterion5AlphaSweepShape:
+    @pytest.mark.slow
     def test_best_alpha_at_least_half(self):
         t0 = time.time()
         alphas = (0.1, 0.3, 0.5, 0.7, 0.8, 0.9)
@@ -367,8 +370,9 @@ class TestCriterion8SaliencyMetric:
         params, _ = train(samples, cfg)
         from occreid.model import preprocess_image
 
-        for s in samples:
-            smap = saliency_map(params, preprocess_image(s.image, arch))
+        maps = saliency_maps(params, [preprocess_image(s.image, arch) for s in samples])
+        assert len(maps) == len(samples)
+        for smap in maps:
             assert smap.values.shape == (12, 12)
             assert 0.0 <= smap.values.min() and smap.values.max() <= 1.0
             assert binarize(smap).channels == 1

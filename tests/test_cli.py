@@ -366,14 +366,53 @@ class TestExitCodes:
 
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         params = init_params(arch, 2, 0)
-        params.conv_w[0][...] = np.inf
         ckpt = tmp_path / "inf.bin"
         save_checkpoint(params, ckpt)
+        # save_checkpoint refuses non-finite weights, so write +inf over
+        # conv0.w, the first tensor after the header, by hand
+        data = bytearray(ckpt.read_bytes())
+        header = len(data) - 4 * sum(arr.size for _, arr in params.tensors())
+        size = params.conv_w[0].size
+        data[header : header + 4 * size] = np.full(size, np.inf, "<f4").tobytes()
+        ckpt.write_bytes(bytes(data))
         out = tmp_path / "out"
         args = ["eval", "--config", str(config_path), "--out", str(out), "--checkpoint", str(ckpt)]
         assert main(args) == 2
         assert "data error" in capsys.readouterr().err
         assert not (out / "eval" / "summary.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, code",
+        [
+            ("eval", ["--checkpoint", "{missing}"], 2),
+            ("saliency", ["--checkpoint", "{missing}"], 2),
+            ("saliency", ["--checkpoint", "{valid}", "--compare", "{missing}"], 2),
+            ("sweep-alpha", ["--alphas", "0.5,2.0"], 1),
+        ],
+    )
+    def test_failing_command_writes_nothing(self, tmp_path, config_path, capsys, command, extra, code):
+        from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+
+        valid = tmp_path / "valid.bin"
+        arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        save_checkpoint(init_params(arch, 2, 0), valid)
+        paths = {"missing": tmp_path / "nope.bin", "valid": valid}
+        out = tmp_path / "out"
+        args = [command, "--config", str(config_path), "--out", str(out)]
+        assert main(args + [a.format(**paths) for a in extra]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_numeric_failure_float32_overflow(self, tmp_path, capsys):
+        # the default config at this rate keeps finite float64 gradients but
+        # drives a bias past the float32 range; train must not save it as inf
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text("[train]\nlearning_rate = 1e6\niterations = 50\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "float32" in err
+        assert not (out / "train" / "checkpoint.bin").exists()
 
     def test_env_var_out_dir(self, tmp_path, config_path, monkeypatch):
         env_out = tmp_path / "env_out"

@@ -8,18 +8,19 @@ from occreid.errors import (
     CorruptData,
     LabelOutOfRange,
     NonFiniteGradient,
+    NonFiniteParameter,
     ShapeMismatch,
     UnsupportedFormat,
 )
-from occreid.imaging import Image
+from occreid.imaging import Image, jittered_center_crop, resize
 from occreid.model import (
+    FORWARD_CHUNK,
     ArchSpec,
     ConvSpec,
     TrainConfig,
     _mean_losses,
     _params_from_dict,
     backward,
-    extract_feature,
     extract_features,
     forward,
     id_loss,
@@ -30,9 +31,10 @@ from occreid.model import (
     preprocess_image,
     save_checkpoint,
     sgd_step,
+    to_checkpoint_precision,
     train,
 )
-from occreid.rng import SplitMix64
+from occreid.rng import SplitMix64, derive_seed
 
 TINY = ArchSpec(input_side=8, resize_side=8, in_channels=3, convs=(ConvSpec(2, 3, 2), ConvSpec(3, 3, 1)))
 
@@ -410,29 +412,94 @@ class TestTrain:
             train(other, cfg, params=params)
 
 
+def replay_train_inputs(samples, cfg, start_iteration=0):
+    """The network inputs train should build, rebuilt from the replayed order
+    and jitter streams with jittered_center_crop on resized Images."""
+    arch = cfg.arch
+    order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start_iteration))
+    jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start_iteration))
+    resized = [resize(s.image, arch.resize_side, arch.resize_side) for s in samples]
+    queue, inputs = [], []
+    for _ in range(cfg.iterations):
+        while len(queue) < cfg.batch_size:
+            block = list(range(len(samples)))
+            order_rng.shuffle(block)
+            queue.extend(block)
+        batch, queue = queue[: cfg.batch_size], queue[cfg.batch_size :]
+        crops = [
+            jittered_center_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng)
+            for i in batch
+        ]
+        inputs.append(np.stack([im.to_float().transpose(2, 0, 1) for im in crops]))
+    return inputs
+
+
+class TestTrainBatchAssembly:
+    @pytest.mark.parametrize(
+        "jitter, cached, start", [(3, False, 0), (3, True, 7), (0, False, 0), (0, True, 2)]
+    )
+    def test_forward_inputs_match_image_crops(self, monkeypatch, jitter, cached, start):
+        import occreid.model as model
+
+        samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(2))
+        arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        cfg = TrainConfig(batch_size=6, iterations=7, seed=11, arch=arch, max_jitter=jitter)
+        cache = None
+        if cached:
+            cache = {s.id: resize(s.image, arch.resize_side, arch.resize_side) for s in samples[::2]}
+        seen, resized = [], []
+
+        def spy_forward(params, batch):
+            seen.append(np.array(batch, copy=True))
+            return forward(params, batch)
+
+        def spy_resize(img, w, h):
+            resized.append(img)
+            return resize(img, w, h)
+
+        monkeypatch.setattr(model, "forward", spy_forward)
+        monkeypatch.setattr(model, "resize", spy_resize)
+        train(samples, cfg, start_iteration=start, resize_cache=cache)
+        want = replay_train_inputs(samples, cfg, start)
+        assert len(seen) == len(want) == cfg.iterations
+        for got, ref in zip(seen, want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+        assert len(resized) == len(samples) - len(cache or {})
+
+    @pytest.mark.parametrize("jitter", [-1, 4])
+    def test_jitter_outside_crop_margin_rejected(self, jitter):
+        samples = generate_synthetic_dataset(2, 2, 16, 24, SplitMix64(2))
+        arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        with pytest.raises(ValueError, match="max_jitter"):
+            train(samples, TrainConfig(iterations=1, arch=arch, max_jitter=jitter))
+
+
 class TestFeatureExtraction:
     def test_length_and_consistency_with_trace(self):
         params = tiny_params()
         gen = np.random.Generator(np.random.PCG64(12))
         img = Image(gen.integers(0, 256, (8, 8, 3), dtype=np.uint8))
-        feat = extract_feature(params, img)
-        assert feat.shape == (TINY.feature_dim,)
+        feats = extract_features(params, [img])
+        assert feats.shape == (1, TINY.feature_dim)
         x = img.to_float().transpose(2, 0, 1)[None]
-        assert np.array_equal(feat, forward(params, x).feature[0])
-        assert np.array_equal(feat, extract_feature(params, img))
+        assert np.array_equal(feats[0], forward(params, x).feature[0])
+        assert np.array_equal(feats, extract_features(params, [img]))
 
     def test_batched_matches_single(self):
         params = tiny_params()
         gen = np.random.Generator(np.random.PCG64(13))
-        imgs = [Image(gen.integers(0, 256, (8, 8, 3), dtype=np.uint8)) for _ in range(5)]
-        stacked = extract_features(params, imgs, batch_size=2)
+        # more images than one forward chunk, so the chunk boundary is crossed
+        shape = (8, 8, 3)
+        imgs = [Image(gen.integers(0, 256, shape, dtype=np.uint8)) for _ in range(FORWARD_CHUNK + 5)]
+        stacked = extract_features(params, imgs)
+        assert stacked.shape == (len(imgs), TINY.feature_dim)
         for i, im in enumerate(imgs):
-            assert np.allclose(stacked[i], extract_feature(params, im), atol=1e-12)
+            assert np.allclose(stacked[i], extract_features(params, [im])[0], atol=1e-12)
 
     def test_dims_must_match(self):
         params = tiny_params()
         with pytest.raises(ShapeMismatch):
-            extract_feature(params, Image(np.zeros((4, 4, 3), dtype=np.uint8)))
+            extract_features(params, [Image(np.zeros((4, 4, 3), dtype=np.uint8))])
 
     def test_preprocess_produces_network_input(self):
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
@@ -461,6 +528,25 @@ class TestCheckpoint:
         save_checkpoint(params, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39, -4e38])
+    def test_non_finite_or_float32_overflow_rejected(self, tmp_path, value):
+        params = tiny_params(seed=8)
+        params.id_b[1] = value
+        path = tmp_path / "bad.bin"
+        with pytest.raises(NonFiniteParameter, match="id.b"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+        with pytest.raises(NonFiniteParameter, match="id.b"):
+            to_checkpoint_precision(params)
+
+    def test_float32_max_is_kept(self, tmp_path):
+        params = tiny_params(seed=8)
+        params.id_b[1] = float(np.finfo(np.float32).max)
+        path = tmp_path / "edge.bin"
+        save_checkpoint(params, path)
+        assert load_checkpoint(path).id_b[1] == params.id_b[1]
+        assert to_checkpoint_precision(params).id_b[1] == params.id_b[1]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"

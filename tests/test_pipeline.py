@@ -167,23 +167,28 @@ class TestEvalManifests:
         assert all(len(r.split("\t")) == 4 for r in body)
         assert gal[-1].startswith("# probes\t")
 
-    def test_parallel_saliency_matches_serial(self, tmp_path):
-        from occreid.model import save_checkpoint
-        from occreid.pipeline import run_saliency
+    def test_chunked_saliency_matches_single_image_maps(self, tmp_path):
+        from occreid.imaging import save_image
+        from occreid.model import FORWARD_CHUNK, preprocess_image
+        from occreid.pipeline import _safe_name, run_saliency
+        from occreid.saliency import saliency_maps
 
         cfg = tiny_cfg()
+        cfg.dataset.per_identity = 6
         data = prepare_experiment(cfg)
+        assert len(data.test_samples) > FORWARD_CHUNK  # maps cross a chunk boundary
         params, _ = train_model(cfg, data)
         ckpt = tmp_path / "c.bin"
         save_checkpoint(params, ckpt)
-        run_saliency(cfg, ckpt, tmp_path / "serial")
-        cfg.run.jobs = 3
-        run_saliency(cfg, ckpt, tmp_path / "parallel")
-        serial = sorted((tmp_path / "serial" / "maps").glob("*.pgm"))
-        parallel = sorted((tmp_path / "parallel" / "maps").glob("*.pgm"))
-        assert [p.name for p in serial] == [p.name for p in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.read_bytes() == b.read_bytes()
+        run_saliency(cfg, ckpt, tmp_path / "out")
+        map_dir = tmp_path / "out" / "maps"
+        assert len(list(map_dir.glob("*.pgm"))) == len(data.test_samples)
+        loaded = load_checkpoint(ckpt)
+        single = tmp_path / "single.pgm"
+        for s in data.test_samples:
+            (smap,) = saliency_maps(loaded, [preprocess_image(s.image, loaded.arch)])
+            save_image(smap.to_image(), single)
+            assert (map_dir / f"{_safe_name(s.id)}.pgm").read_bytes() == single.read_bytes(), s.id
 
 
 class TestSaliencyComparison:

@@ -9,7 +9,7 @@ from occreid.saliency import (
     binarize,
     detection_precision,
     map_from_feature_maps,
-    saliency_map,
+    saliency_maps,
 )
 
 
@@ -61,7 +61,7 @@ class TestSaliencyMapFromModel:
         params = init_params(arch, 2, 3)
         gen = np.random.Generator(np.random.PCG64(5))
         img = Image(gen.integers(0, 256, (12, 12, 3), dtype=np.uint8))
-        smap = saliency_map(params, img)
+        (smap,) = saliency_maps(params, [img])
         assert smap.values.shape == (12, 12)
         assert smap.values.min() >= 0.0 and smap.values.max() <= 1.0
 
