@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .evaluate import AGGREGATES
+from .occsim import OcclusionConfig
 
 
 @dataclass
@@ -151,7 +152,48 @@ def load_config(path) -> ExperimentConfig:
         raise ValueError(f"{path}: [eval] shots: need one or more counts >= 1, got {ev.shots}")
     if ev.trials < 1:
         raise ValueError(f"{path}: [eval] trials: must be >= 1, got {ev.trials}")
+    for name, build in (("", occlusion_config), ("probe_* settings: ", probe_occlusion_config)):
+        try:
+            build(cfg, 0)
+        except ValueError as e:
+            raise ValueError(f"{path}: [occlusion] {name}{e}") from e
+    if not 0.0 < cfg.saliency.quantile < 1.0:
+        raise ValueError(
+            f"{path}: [saliency] quantile: must be in (0, 1), got {cfg.saliency.quantile}"
+        )
     return cfg
+
+
+def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
+    """The training-time simulator's settings; patch_side 0 means a quarter
+    of the image height."""
+    occ = cfg.occlusion
+    side = occ.patch_side if occ.patch_side > 0 else max(1, cfg.dataset.image_height // 4)
+    return OcclusionConfig(
+        patch_side=side,
+        ratio_lo=occ.ratio_lo,
+        ratio_hi=occ.ratio_hi,
+        aspect_lo=occ.aspect_lo,
+        aspect_hi=occ.aspect_hi,
+        background_band=occ.background_band,
+        seed=seed,
+        regenerate_per_epoch=occ.regenerate_per_epoch,
+    )
+
+
+def probe_occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
+    """Settings for synthetic eval probes: each negative probe_* value
+    inherits the training-time setting."""
+    occ = cfg.occlusion
+    base = occlusion_config(cfg, seed)
+    return dataclasses.replace(
+        base,
+        ratio_lo=occ.probe_ratio_lo if occ.probe_ratio_lo >= 0 else base.ratio_lo,
+        ratio_hi=occ.probe_ratio_hi if occ.probe_ratio_hi >= 0 else base.ratio_hi,
+        aspect_lo=occ.probe_aspect_lo if occ.probe_aspect_lo >= 0 else base.aspect_lo,
+        aspect_hi=occ.probe_aspect_hi if occ.probe_aspect_hi >= 0 else base.aspect_hi,
+        background_band=occ.probe_band if occ.probe_band >= 0 else base.background_band,
+    )
 
 
 def render_config(cfg: ExperimentConfig) -> str:

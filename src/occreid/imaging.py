@@ -11,6 +11,7 @@ operations are pure: inputs are never mutated and identical inputs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -204,41 +205,64 @@ def paste(base: Image, patch: Image, x: int, y: int) -> Image:
     return Image(out)
 
 
+@lru_cache(maxsize=1024)  # a few hundred (length, size) pairs per experiment
+def _taps(n_in: int, n_out: int, channels: int = 1):
+    """Bilinear taps along one axis of n_in samples resized to n_out: the two
+    clamped source indices of each output sample and their weights (1 - f, f).
+
+    With channels > 1 the taps address the axis flattened with its
+    interleaved channels, one entry per (sample, channel).
+    """
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(src)
+    f = src - i0
+    i0 = i0.astype(np.int64)
+    i1 = np.clip(i0 + 1, 0, n_in - 1)
+    i0 = np.clip(i0, 0, n_in - 1)
+    g = 1.0 - f
+    if channels > 1:
+        ch = np.arange(channels)
+        i0 = (i0[:, None] * channels + ch).ravel()
+        i1 = (i1[:, None] * channels + ch).ravel()
+        g = np.repeat(g, channels)
+        f = np.repeat(f, channels)
+    for a in (i0, i1, g, f):
+        a.setflags(write=False)
+    return i0, i1, g, f
+
+
 def bilinear_resize_array(values: np.ndarray, w: int, h: int) -> np.ndarray:
     """Bilinear resample of a float array (h, w) or (h, w, c) to h rows, w cols.
 
     Sample positions follow the half-pixel convention
     src = (dst + 0.5) * in/out - 0.5 with neighbours clamped to the edge,
-    so resizing to identical dims is exact.
+    so resizing to identical dims is exact. Every input row is interpolated
+    along x on an (h, w * c) view, then pairs of those rows are blended
+    along y: top * (1 - fy) + bottom * fy with top = left * (1 - fx) +
+    right * fx, the same operations in the same order for every output
+    value as the direct four-neighbour formula.
     """
     if w < 1 or h < 1:
         raise ValueError(f"target dims must be >= 1, got {w}x{h}")
     arr = np.asarray(values, dtype=np.float64)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[:, :, None]
     in_h, in_w = arr.shape[:2]
-    sx = (np.arange(w) + 0.5) * (in_w / w) - 0.5
-    sy = (np.arange(h) + 0.5) * (in_h / h) - 0.5
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x1 = np.clip(x0 + 1, 0, in_w - 1)
-    y1 = np.clip(y0 + 1, 0, in_h - 1)
-    x0 = np.clip(x0, 0, in_w - 1)
-    y0 = np.clip(y0, 0, in_h - 1)
-    top = arr[np.ix_(y0, x0)] * (1.0 - fx)[None, :, None] + arr[np.ix_(y0, x1)] * fx[None, :, None]
-    bot = arr[np.ix_(y1, x0)] * (1.0 - fx)[None, :, None] + arr[np.ix_(y1, x1)] * fx[None, :, None]
-    out = top * (1.0 - fy)[:, None, None] + bot * fy[:, None, None]
-    return out[:, :, 0] if squeeze else out
+    c = arr.shape[2] if arr.ndim == 3 else 1
+    flat = arr.reshape(in_h, in_w * c)
+    x0, x1, gx, fx = _taps(in_w, w, c)
+    y0, y1, gy, fy = _taps(in_h, h)
+    rows = flat.take(x0, axis=1) * gx
+    rows += flat.take(x1, axis=1) * fx
+    top = rows.take(y0, axis=0)
+    top *= gy[:, None]
+    bottom = rows.take(y1, axis=0)
+    bottom *= fy[:, None]
+    top += bottom
+    return top.reshape((h, w) + arr.shape[2:])
 
 
 def resize(img: Image, w: int, h: int) -> Image:
     """Bilinear resize with edge clamping; value range [0, 255] is preserved."""
-    out = bilinear_resize_array(img.pixels.astype(np.float64), w, h)
+    out = bilinear_resize_array(img.pixels, w, h)
     return Image(np.clip(np.floor(out + 0.5), 0.0, 255.0).astype(np.uint8))
 
 

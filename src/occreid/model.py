@@ -186,10 +186,11 @@ def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    b, c, hp, wp = xp.shape
-    oh = (hp - k) // stride + 1
-    ow = (wp - k) // stride + 1
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))  # zero-bordered copy of the input
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
     sb, sc, sh, sw = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, (b, c, oh, ow, k, k), (sb, sc, sh * stride, sw * stride, sh, sw)
@@ -325,9 +326,9 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
         w = params.conv_w[layer]
         dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0)
         dz_flat = dz.reshape(b, spec.out_channels, -1)
-        grads[f"conv{layer}.w"] = np.einsum(
-            "bfs,bcs->fc", dz_flat, trace.cols[layer]
-        ).reshape(w.shape)
+        grads[f"conv{layer}.w"] = (
+            np.matmul(dz_flat, trace.cols[layer].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        )
         grads[f"conv{layer}.b"] = dz_flat.sum(axis=(0, 2))
         if layer > 0:
             dcols = np.matmul(w.reshape(spec.out_channels, -1).T, dz_flat)
@@ -528,11 +529,10 @@ def load_checkpoint(path) -> ModelParams:
         count = int(np.prod(shape))
         if pos + 4 * count > len(data):
             raise CorruptData(f"{path}: truncated tensor {name}")
-        tensors[name] = (
-            np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-            .astype(np.float64)
-            .reshape(shape)
-        )
+        narrow = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
+        if not np.all(np.isfinite(narrow)):
+            raise CorruptData(f"{path}: tensor {name} holds NaN or inf")
+        tensors[name] = narrow.astype(np.float64).reshape(shape)
         pos += 4 * count
     if pos != len(data):
         raise CorruptData(f"{path}: {len(data) - pos} trailing bytes")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, write_resolved
+from .config import ExperimentConfig, occlusion_config, probe_occlusion_config, write_resolved
 from .dataset import (
     Occlusion,
     PersonSample,
@@ -44,7 +44,7 @@ from .model import (
     to_checkpoint_precision,
     train,
 )
-from .occsim import OcclusionConfig, build_occlusion_set, combine
+from .occsim import build_occlusion_set, combine
 from .rng import SplitMix64, derive_seed
 from .saliency import binarize, detection_precision, saliency_maps
 from .svgplot import line_plot
@@ -72,34 +72,6 @@ class ExperimentData:
     split: object
     train_full: list
     test_samples: list
-
-
-def _occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    occ = cfg.occlusion
-    side = occ.patch_side if occ.patch_side > 0 else max(1, cfg.dataset.image_height // 4)
-    return OcclusionConfig(
-        patch_side=side,
-        ratio_lo=occ.ratio_lo,
-        ratio_hi=occ.ratio_hi,
-        aspect_lo=occ.aspect_lo,
-        aspect_hi=occ.aspect_hi,
-        background_band=occ.background_band,
-        seed=seed,
-        regenerate_per_epoch=occ.regenerate_per_epoch,
-    )
-
-
-def _probe_occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    occ = cfg.occlusion
-    base = _occlusion_config(cfg, seed)
-    return dataclasses.replace(
-        base,
-        ratio_lo=occ.probe_ratio_lo if occ.probe_ratio_lo >= 0 else base.ratio_lo,
-        ratio_hi=occ.probe_ratio_hi if occ.probe_ratio_hi >= 0 else base.ratio_hi,
-        aspect_lo=occ.probe_aspect_lo if occ.probe_aspect_lo >= 0 else base.aspect_lo,
-        aspect_hi=occ.probe_aspect_hi if occ.probe_aspect_hi >= 0 else base.aspect_hi,
-        background_band=occ.probe_band if occ.probe_band >= 0 else base.background_band,
-    )
 
 
 def _arch(cfg: ExperimentConfig) -> ArchSpec:
@@ -156,7 +128,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
     ]
     test_samples = [s for s in samples if s.identity in split.test_identities]
     if not any(s.occlusion is not Occlusion.FULL_BODY for s in test_samples):
-        probe_cfg = _probe_occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_PROBE))
+        probe_cfg = probe_occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_PROBE))
         probes, _ = build_occlusion_set(test_samples, probe_cfg)
         test_samples = test_samples + probes
     return ExperimentData(samples, split, train_full, test_samples)
@@ -198,7 +170,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     _write_provenance(cfg, out_dir)
     samples = [s for s in load_samples(cfg) if s.occlusion is Occlusion.FULL_BODY]
-    occ_cfg = _occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_OS))
+    occ_cfg = occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_OS))
     occluded, records = build_occlusion_set(samples, occ_cfg)
     img_dir = out_dir / "images"
     img_dir.mkdir(exist_ok=True)
@@ -225,7 +197,7 @@ def _build_training_set(cfg: ExperimentConfig, data: ExperimentData, epoch: int 
     os_seed = derive_seed(cfg.run.seed, TAG_OS)
     if epoch:
         os_seed = derive_seed(os_seed, epoch)
-    z, _ = build_occlusion_set(x, _occlusion_config(cfg, os_seed))
+    z, _ = build_occlusion_set(x, occlusion_config(cfg, os_seed))
     return combine(x, z)
 
 
@@ -258,9 +230,9 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             seg_cfg = dataclasses.replace(tcfg, iterations=step)
-        params, rows = train(
-            _build_training_set(cfg, data, epoch), seg_cfg, params, done, resize_cache=cache
-        )
+        if epoch:
+            combined = _build_training_set(cfg, data, epoch)
+        params, rows = train(combined, seg_cfg, params, done, resize_cache=cache)
         history.extend(rows)
         done += step
         epoch += 1
@@ -340,13 +312,13 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     return reports
 
 
-def train_and_eval(cfg: ExperimentConfig) -> dict:
+def train_and_eval(cfg: ExperimentConfig, data: ExperimentData | None = None) -> dict:
     """In-memory train plus eval under cfg's switches; keyed by shot count.
 
     Parameters are rounded through checkpoint precision first, so the
     result matches a train command followed by an eval of its checkpoint.
     """
-    data = prepare_experiment(cfg)
+    data = data or prepare_experiment(cfg)
     params, _ = train_model(cfg, data)
     return evaluate_model(cfg, to_checkpoint_precision(params), data)
 
@@ -357,12 +329,13 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
     out_dir = Path(out_dir)
     _write_provenance(cfg, out_dir)
     selected = [r for r in _REGIMES if regimes is None or r[0] in regimes]
+    data = prepare_experiment(cfg)  # the switches never reach data, split or probes
     results = {}
     rows = ["# regime\tuse_os\tuse_obc\tshots\trank1\trank5\trank10"]
     series = {}
     for name, use_os, use_obc in selected:
         sub = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, use_os=use_os, use_obc=use_obc))
-        reports = train_and_eval(sub)
+        reports = train_and_eval(sub, data)
         results[name] = reports
         for n, rep in sorted(reports.items()):
             rows.append(
@@ -385,6 +358,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
     _write_provenance(cfg, out_dir)
+    data = prepare_experiment(cfg)  # alpha never reaches data, split or probes
     results = {}
     for a in sorted(alphas):
         sub = dataclasses.replace(
@@ -392,7 +366,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
             train=dataclasses.replace(cfg.train, alpha=a),
             run=dataclasses.replace(cfg.run, use_os=True, use_obc=True),
         )
-        results[a] = train_and_eval(sub)
+        results[a] = train_and_eval(sub, data)
     shots = sorted(next(iter(results.values()))) if results else []
     rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
     for a in sorted(results):

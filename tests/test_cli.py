@@ -323,14 +323,33 @@ class TestExitCodes:
         assert main(["train", "--config", str(p)]) == 1
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["shots =", "shots = 1,0", "aggregate = median", "trials = 0"])
-    def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize(
+        "section, bad",
+        [
+            pytest.param("eval", {"shots": ""}, id="shots ="),
+            pytest.param("eval", {"shots": "1,0"}, id="shots = 1,0"),
+            pytest.param("eval", {"aggregate": "median"}, id="aggregate = median"),
+            pytest.param("eval", {"trials": "0"}, id="trials = 0"),
+            pytest.param("saliency", {"quantile": "1.5"}, id="quantile = 1.5"),
+            pytest.param(
+                "occlusion", {"ratio_lo": "0.5", "ratio_hi": "0.2"}, id="ratio_lo > ratio_hi"
+            ),
+            pytest.param("occlusion", {"probe_ratio_lo": "0.5"}, id="probe_ratio_lo > ratio_hi"),
+        ],
+    )
+    def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, section, bad):
+        import configparser
+
         from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
 
-        key = bad.split()[0]
-        lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        parser = configparser.ConfigParser()
+        parser.read_string(TINY_CONFIG)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section].update(bad)
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("\n".join(lines).replace("[eval]", f"[eval]\n{bad}"), encoding="utf-8")
+        with cfg.open("w", encoding="utf-8") as f:
+            parser.write(f)
         ckpt = tmp_path / "c.bin"
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         save_checkpoint(init_params(arch, 2, 0), ckpt)
@@ -338,9 +357,10 @@ class TestExitCodes:
         code = main(["eval", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "config error" in err and f"[eval] {key}" in err
+        assert "config error" in err and f"[{section}] " in err
+        assert next(iter(bad)).removeprefix("probe_") in err
         assert "Traceback" not in err
-        assert not (out / "eval" / "summary.tsv").exists()
+        assert not out.exists()
 
     def test_data_error_missing_checkpoint(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
@@ -358,10 +378,10 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_data_error_non_finite_checkpoint(self, tmp_path, config_path, capsys):
-        # inf weights (as a diverged run saves them) give NaN features; eval
-        # must fail instead of ranking NaN scores as perfect matches
+        # inf weights (as a diverged run saves them) would give NaN features
+        # and all-zero saliency maps; the loader refuses them, so eval and
+        # saliency fail before writing anything
         from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
 
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
@@ -375,11 +395,13 @@ class TestExitCodes:
         size = params.conv_w[0].size
         data[header : header + 4 * size] = np.full(size, np.inf, "<f4").tobytes()
         ckpt.write_bytes(bytes(data))
-        out = tmp_path / "out"
-        args = ["eval", "--config", str(config_path), "--out", str(out), "--checkpoint", str(ckpt)]
-        assert main(args) == 2
-        assert "data error" in capsys.readouterr().err
-        assert not (out / "eval" / "summary.tsv").exists()
+        for command in ("eval", "saliency"):
+            out = tmp_path / command
+            args = ["--config", str(config_path), "--out", str(out), "--checkpoint", str(ckpt)]
+            assert main([command, *args]) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and "conv0.w" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, extra, code",

@@ -13,6 +13,7 @@ from occreid.errors import (
 from occreid.imaging import (
     Image,
     Rect,
+    bilinear_resize_array,
     crop,
     jittered_center_crop,
     load_image,
@@ -157,7 +158,54 @@ class TestCrop:
             Rect(-1, 0, 2, 2)
 
 
+def four_neighbour_resize(values, w, h):
+    """The direct bilinear formula: gather the four neighbours of every
+    output pixel and blend them, x first, then y. The separable resize
+    must reproduce it bit for bit."""
+    arr = np.asarray(values, dtype=np.float64)
+    squeeze = arr.ndim == 2
+    if squeeze:
+        arr = arr[:, :, None]
+    in_h, in_w = arr.shape[:2]
+    sx = (np.arange(w) + 0.5) * (in_w / w) - 0.5
+    sy = (np.arange(h) + 0.5) * (in_h / h) - 0.5
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
+    x1 = np.clip(x0 + 1, 0, in_w - 1)
+    y1 = np.clip(y0 + 1, 0, in_h - 1)
+    x0 = np.clip(x0, 0, in_w - 1)
+    y0 = np.clip(y0, 0, in_h - 1)
+    top = arr[np.ix_(y0, x0)] * (1.0 - fx)[None, :, None] + arr[np.ix_(y0, x1)] * fx[None, :, None]
+    bot = arr[np.ix_(y1, x0)] * (1.0 - fx)[None, :, None] + arr[np.ix_(y1, x1)] * fx[None, :, None]
+    out = top * (1.0 - fy)[:, None, None] + bot * fy[:, None, None]
+    return out[:, :, 0] if squeeze else out
+
+
 class TestResize:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_separable_matches_four_neighbour_formula(self, channels):
+        gen = np.random.Generator(np.random.PCG64(channels))
+        # 1-pixel sides, same size, pure up/down and mixed scaling, then random
+        dims = [(1, 1, 1, 1), (1, 1, 5, 3), (7, 1, 1, 4), (1, 9, 6, 1), (6, 4, 6, 4)]
+        dims += [(64, 32, 36, 36), (36, 36, 12, 12), (5, 3, 40, 17), (40, 17, 5, 3)]
+        dims += [tuple(int(v) for v in gen.integers(1, 50, 4)) for _ in range(100)]
+        for in_h, in_w, h, w in dims:
+            img = Image(gen.integers(0, 256, (in_h, in_w, channels), dtype=np.uint8))
+            ref = four_neighbour_resize(img.pixels, w, h)
+            out = bilinear_resize_array(img.pixels.astype(np.float64), w, h)
+            assert out.shape == ref.shape and np.array_equal(out, ref), (in_h, in_w, h, w)
+            want = np.clip(np.floor(ref + 0.5), 0.0, 255.0).astype(np.uint8)
+            assert np.array_equal(resize(img, w, h).pixels, want)
+        # single-channel maps come in as 2-d float arrays (saliency upsampling)
+        values = gen.uniform(-3.0, 3.0, (4, 4))
+        for side in (1, 4, 32):
+            out = bilinear_resize_array(values, side, side)
+            assert np.array_equal(out, four_neighbour_resize(values, side, side))
+
     def test_same_dims_identity(self):
         img = ramp(6, 3, 3)
         assert resize(img, 6, 3) == img

@@ -18,8 +18,11 @@ from occreid.model import (
     ArchSpec,
     ConvSpec,
     TrainConfig,
+    _col2im,
+    _im2col,
     _mean_losses,
     _params_from_dict,
+    _softmax,
     backward,
     extract_features,
     forward,
@@ -208,7 +211,75 @@ def shift_biases(arch, params, seed):
     return _params_from_dict(arch, tensors)
 
 
+def einsum_conv_grads(trace, params, labels, flags, alpha):
+    """Conv weight gradients with dW contracted over batch and positions by
+    one einsum, the form backward used before its batched matmul."""
+    b = len(labels)
+    g_id = _softmax(trace.id_logits)
+    g_id[np.arange(b), labels] -= 1.0
+    g_id *= alpha / b
+    g_obc = _softmax(trace.obc_logits)
+    g_obc[np.arange(b), flags] -= 1.0
+    g_obc *= (1.0 - alpha) / b
+    last = trace.acts[-1]
+    d_act = (g_id @ params.id_w + g_obc @ params.obc_w)[:, :, None, None]
+    d_act = np.broadcast_to(d_act / (last.shape[2] * last.shape[3]), last.shape)
+    grads = {}
+    for layer in reversed(range(len(params.arch.convs))):
+        spec, w = params.arch.convs[layer], params.conv_w[layer]
+        dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0).reshape(b, spec.out_channels, -1)
+        grads[f"conv{layer}.w"] = np.einsum("bfs,bcs->fc", dz, trace.cols[layer]).reshape(w.shape)
+        if layer:
+            dcols = np.matmul(w.reshape(spec.out_channels, -1).T, dz)
+            shape = trace.acts[layer - 1].shape
+            d_act = _col2im(dcols, shape, spec.kernel, spec.stride, spec.kernel // 2)
+    return grads
+
+
+def pad_im2col(x, k, stride, pad):
+    """im2col over an np.pad copy of the input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    b, c, hp, wp = xp.shape
+    oh = (hp - k) // stride + 1
+    ow = (wp - k) // stride + 1
+    sb, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (b, c, oh, ow, k, k), (sb, sc, sh * stride, sw * stride, sh, sw)
+    )
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * k * k, oh * ow)
+    return cols, oh, ow
+
+
+class TestIm2col:
+    @pytest.mark.parametrize(
+        "b, c, h, w, k, stride",
+        [(20, 3, 32, 32, 3, 2), (20, 16, 16, 16, 3, 2), (20, 32, 8, 8, 3, 2), (2, 3, 7, 5, 3, 1),
+         (3, 2, 9, 9, 5, 2), (1, 4, 6, 6, 1, 1), (2, 1, 4, 4, 7, 3), (1, 2, 1, 1, 3, 2)],
+    )
+    def test_matches_np_pad_reference(self, b, c, h, w, k, stride):
+        x = np.random.Generator(np.random.PCG64(k * stride)).uniform(-1, 1, (b, c, h, w))
+        cols, oh, ow = _im2col(x, k, stride, k // 2)
+        ref, ref_oh, ref_ow = pad_im2col(x, k, stride, k // 2)
+        assert (oh, ow) == (ref_oh, ref_ow)
+        assert cols.shape == ref.shape and np.array_equal(cols, ref)
+
+
 class TestBackward:
+    @pytest.mark.parametrize(
+        "convs, b",
+        [(((16, 3, 2), (32, 3, 2), (64, 3, 2)), 20), (((4, 3, 1), (6, 5, 2), (8, 3, 3)), 5)],
+    )
+    def test_conv_grads_match_einsum_reference(self, convs, b):
+        arch = ArchSpec(32, 36, 3, tuple(ConvSpec(*c) for c in convs))
+        params = shift_biases(arch, init_params(arch, 4, 3), seed=5)
+        gen = np.random.Generator(np.random.PCG64(b))
+        labels, flags = gen.integers(0, 4, b), gen.integers(0, 2, b)
+        trace = forward(params, rand_batch(b, seed=b, side=32))
+        grads = backward(trace, params, labels, flags, 0.7)
+        for name, ref in einsum_conv_grads(trace, params, labels, flags, 0.7).items():
+            rel = np.abs(grads[name] - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-12, f"{name}: rel={rel}"
+
     def test_matches_finite_differences_tiny_spec(self):
         # seeds chosen so every preactivation clears the ReLU kink by more
         # than the finite-difference step can move it
@@ -539,6 +610,21 @@ class TestCheckpoint:
         assert not path.exists()
         with pytest.raises(NonFiniteParameter, match="id.b"):
             to_checkpoint_precision(params)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["conv0.w", "conv1.b", "obc.b"])
+    def test_non_finite_tensor_rejected_on_load(self, tmp_path, name, value):
+        params = tiny_params(seed=8)
+        path = tmp_path / "bad.bin"
+        save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        sizes = [arr.size for _, arr in params.tensors()]
+        names = [n for n, _ in params.tensors()]
+        pos = len(data) - 4 * sum(sizes) + 4 * sum(sizes[: names.index(name)])
+        data[pos : pos + 4] = np.array([value], "<f4").tobytes()  # first value of the tensor
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptData, match=f"tensor {name}"):
+            load_checkpoint(path)
 
     def test_float32_max_is_kept(self, tmp_path):
         params = tiny_params(seed=8)

@@ -8,6 +8,7 @@ from occreid.config import ExperimentConfig
 from occreid.dataset import Occlusion
 from occreid.model import load_checkpoint, save_checkpoint, train
 from occreid.pipeline import (
+    TAG_OS,
     TAG_PROBE,
     prepare_experiment,
     run_saliency,
@@ -130,10 +131,10 @@ class TestTrainModelSwitches:
         cfg.train.iterations = 6
         cfg.train.batch_size = 8  # combined set is 16 -> epoch length 2
         train_model(cfg)
-        # builds: synthetic eval probes, sizing pass, then one per epoch;
-        # epoch 0 reuses the sizing stream, later epochs derive fresh ones
-        assert len(calls) == 5
-        assert calls[1] == calls[2]
+        # builds: synthetic eval probes, then one per epoch; the epoch-0
+        # set also sizes the epochs, later epochs derive fresh streams
+        assert len(calls) == 4
+        assert calls[1] == derive_seed(cfg.run.seed, TAG_OS)
         assert len(set(calls)) == 4
 
     def test_regeneration_changes_final_params(self):
@@ -147,6 +148,43 @@ class TestTrainModelSwitches:
             not np.array_equal(a, b)
             for (_, a), (_, b) in zip(p_fixed.tensors(), p_regen.tensors())
         )
+
+
+class TestSharedPreparation:
+    """The grid and the sweep prepare data once: their switches and alphas
+    never reach the data, the split or the probes."""
+
+    @pytest.mark.parametrize(
+        "run, table, models",
+        [
+            (lambda cfg, out: pipeline.run_ablation(cfg, out), "ablation.tsv", 4),
+            (lambda cfg, out: pipeline.run_alpha_sweep(cfg, [0.6, 0.9], out), "alpha_sweep.tsv", 2),
+        ],
+        ids=["ablation", "alpha_sweep"],
+    )
+    def test_one_preparation_gives_the_per_model_table(
+        self, tmp_path, monkeypatch, run, table, models
+    ):
+        cfg = tiny_cfg()
+        cfg.train.iterations = 5
+        cfg.occlusion.regenerate_per_epoch = True
+        calls = []
+        prepare = pipeline.prepare_experiment
+
+        def spy(c):
+            calls.append(c)
+            return prepare(c)
+
+        monkeypatch.setattr(pipeline, "prepare_experiment", spy)
+        run(cfg, tmp_path / "once")
+        assert len(calls) == 1
+        # reference: every trained model prepares data from its own config
+        train_and_eval = pipeline.train_and_eval
+        monkeypatch.setattr(pipeline, "train_and_eval", lambda sub, data=None: train_and_eval(sub))
+        run(cfg, tmp_path / "each")
+        assert len(calls) == 1 + 1 + models  # the run's own, then one per model
+        once = (tmp_path / "once" / table).read_bytes()
+        assert once == (tmp_path / "each" / table).read_bytes()
 
 
 class TestEvalManifests:
