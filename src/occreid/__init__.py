@@ -42,6 +42,7 @@ from .model import (
     multi_task_loss,
     obc_loss,
     preprocess_image,
+    preprocess_images,
     save_checkpoint,
     sgd_step,
     train,

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import InfeasibleGeometry
 from .evaluate import AGGREGATES
-from .occsim import OcclusionConfig
+from .model import ArchSpec, ConvSpec, TrainConfig
+from .occsim import OcclusionConfig, check_patch_fits
 
 
 @dataclass
@@ -119,7 +122,7 @@ def _parse_value(raw: str, template):
         return float(raw)
     if kind is tuple:
         if not raw:
-            return ()
+            raise ValueError("expected one or more comma-separated integers")
         return tuple(int(v.strip()) for v in raw.split(","))
     return raw
 
@@ -145,23 +148,72 @@ def load_config(path) -> ExperimentConfig:
                 setattr(target, key, _parse_value(raw, getattr(target, key)))
             except ValueError as e:
                 raise ValueError(f"{path}: [{section}] {key}: {e}") from e
-    ev = cfg.eval
+    try:
+        _validate(cfg)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    return cfg
+
+
+def _validate(cfg: ExperimentConfig) -> None:
+    """Build everything a run derives from the config, so a bad value
+    fails here, before any work; errors name the section and key."""
+    ds, ev = cfg.dataset, cfg.eval
+    if not 0.0 < ds.split_fraction < 1.0:
+        raise ValueError(f"[dataset] split_fraction: must be in (0, 1), got {ds.split_fraction}")
+    if not ds.root and min(ds.identities, ds.per_identity) < 2:
+        raise ValueError(
+            "[dataset] identities and per_identity: synthetic data needs 2 or more of each, "
+            f"got {ds.identities} and {ds.per_identity}"
+        )
     if ev.aggregate not in AGGREGATES:
-        raise ValueError(f"{path}: [eval] aggregate: {ev.aggregate!r} is not one of {AGGREGATES}")
-    if not ev.shots or min(ev.shots) < 1:
-        raise ValueError(f"{path}: [eval] shots: need one or more counts >= 1, got {ev.shots}")
+        raise ValueError(f"[eval] aggregate: {ev.aggregate!r} is not one of {AGGREGATES}")
+    if min(ev.shots) < 1:
+        raise ValueError(f"[eval] shots: need counts >= 1, got {ev.shots}")
+    if not ds.root and max(ev.shots) > ds.per_identity:
+        raise ValueError(f"[eval] shots: {ev.shots} above the synthetic per_identity {ds.per_identity}")
     if ev.trials < 1:
-        raise ValueError(f"{path}: [eval] trials: must be >= 1, got {ev.trials}")
+        raise ValueError(f"[eval] trials: must be >= 1, got {ev.trials}")
+    if not 0.0 < cfg.saliency.quantile < 1.0:
+        raise ValueError(f"[saliency] quantile: must be in (0, 1), got {cfg.saliency.quantile}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an alpha of 0 or 1 warns when training starts
+            train_config(cfg, 0, cfg.train.alpha)
+    except ValueError as e:
+        raise ValueError(f"[train] {e}") from e
     for name, build in (("", occlusion_config), ("probe_* settings: ", probe_occlusion_config)):
         try:
-            build(cfg, 0)
-        except ValueError as e:
-            raise ValueError(f"{path}: [occlusion] {name}{e}") from e
-    if not 0.0 < cfg.saliency.quantile < 1.0:
-        raise ValueError(
-            f"{path}: [saliency] quantile: must be in (0, 1), got {cfg.saliency.quantile}"
-        )
-    return cfg
+            occ = build(cfg, 0)
+            if not ds.root:  # the synthetic image size is known now
+                check_patch_fits(occ, ds.image_width, ds.image_height)
+        except (ValueError, InfeasibleGeometry) as e:
+            raise ValueError(f"[occlusion] {name}{e}") from e
+
+
+def arch_spec(cfg: ExperimentConfig) -> ArchSpec:
+    t = cfg.train
+    return ArchSpec(
+        input_side=t.input_side,
+        resize_side=t.resize_side,
+        in_channels=3,
+        convs=tuple(ConvSpec(c, t.kernel, t.stride) for c in t.conv_channels),
+    )
+
+
+def train_config(cfg: ExperimentConfig, seed: int, alpha: float) -> TrainConfig:
+    t = cfg.train
+    return TrainConfig(
+        alpha=alpha,
+        learning_rate=t.learning_rate,
+        batch_size=t.batch_size,
+        iterations=t.iterations,
+        seed=seed,
+        arch=arch_spec(cfg),
+        max_jitter=None if t.max_jitter < 0 else t.max_jitter,
+        lr_decay_every=t.lr_decay_every,
+        lr_decay_factor=t.lr_decay_factor,
+    )
 
 
 def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
@@ -177,7 +229,6 @@ def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
         aspect_hi=occ.aspect_hi,
         background_band=occ.background_band,
         seed=seed,
-        regenerate_per_epoch=occ.regenerate_per_epoch,
     )
 
 

@@ -1,7 +1,7 @@
 """Raster image primitives.
 
 8-bit row-major images with a binary PPM (P6) / PGM (P5) codec, crop,
-bilinear resize, paste and the jittered center-crop used for training
+bilinear resize, paste and the jittered center-crop that defines training
 augmentation. Storage is uint8; compute happens on float64 views and is
 written back with round-half-away-from-zero, clamped to [0, 255]. All
 operations are pure: inputs are never mutated and identical inputs
@@ -94,6 +94,10 @@ class Image:
     @property
     def channels(self) -> int:
         return self.pixels.shape[2]
+
+    def __array__(self, dtype=None, copy=None):
+        """The pixels, so a list of equal-sized Images converts to one array."""
+        return np.array(self.pixels, dtype=dtype, copy=copy)
 
     def to_float(self) -> np.ndarray:
         """Unit-interval float64 view (a fresh array) of the pixel data."""
@@ -261,7 +265,10 @@ def bilinear_resize_array(values: np.ndarray, w: int, h: int) -> np.ndarray:
 
 
 def resize(img: Image, w: int, h: int) -> Image:
-    """Bilinear resize with edge clamping; value range [0, 255] is preserved."""
+    """Bilinear resize with edge clamping; value range [0, 255] is preserved.
+    Resizing to the image's own size is exact, so the image itself is returned."""
+    if (w, h) == (img.width, img.height):
+        return img
     out = bilinear_resize_array(img.pixels, w, h)
     return Image(np.clip(np.floor(out + 0.5), 0.0, 255.0).astype(np.uint8))
 

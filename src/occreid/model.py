@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedFormat,
 )
-from .imaging import Image, jittered_center_crop, resize
+from .imaging import Image, resize
 from .rng import SplitMix64, derive_seed
 
 _MAGIC = b"OCREID01"
@@ -103,6 +103,9 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.iterations < 0 or self.learning_rate < 0:
             raise ValueError("batch_size >= 1, iterations >= 0, learning_rate >= 0 required")
+        margin = self.arch.default_jitter
+        if self.max_jitter is not None and not 0 <= self.max_jitter <= margin:
+            raise ValueError(f"max_jitter {self.max_jitter} outside [0, {margin}], the crop margin")
 
 
 @dataclass
@@ -351,13 +354,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
     return _params_from_dict(params.arch, updated)
 
 
-def train(
-    samples,
-    cfg: TrainConfig,
-    params: ModelParams | None = None,
-    start_iteration: int = 0,
-    resize_cache: dict | None = None,
-):
+def train(samples, cfg: TrainConfig, params: ModelParams | None = None, start_iteration: int = 0):
     """SGD over the sample set with jittered center-crop augmentation.
 
     The resized set is stacked once as an (N, R, R, C) uint8 array; each
@@ -371,9 +368,8 @@ def train(
     total is exactly alpha * id + (1 - alpha) * obc.
 
     Passing params continues training (used for per-epoch regeneration of
-    the occlusion set); the class count must match. resize_cache maps
-    sample id to its already-resized image and only skips redundant
-    resizes; entries must equal resize(sample.image, resize_side, ...).
+    the occlusion set); the class count must match. Samples already at
+    resize_side are used as they are.
     """
     samples = list(samples)
     if not samples:
@@ -390,11 +386,8 @@ def train(
             f"params expect {params.num_classes} classes, set has {len(identities)}"
         )
     jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
-    if not 0 <= jitter <= arch.default_jitter:
-        raise ValueError(f"max_jitter {jitter} outside [0, {arch.default_jitter}], the crop margin")
-    cache = resize_cache or {}
     side = arch.resize_side
-    stack = np.stack([(cache.get(s.id) or resize(s.image, side, side)).pixels for s in samples])
+    stack = np.stack([resize(s.image, side, side).pixels for s in samples])
     # every input_side crop as a view, indexed (sample, y, x) -> (C, S, S)
     crops = sliding_window_view(stack, (arch.input_side, arch.input_side), axis=(1, 2))
     center = (side - arch.input_side) // 2
@@ -429,11 +422,23 @@ def train(
     return params, history
 
 
+def preprocess_images(images: list, arch: ArchSpec) -> np.ndarray:
+    """Resize each image to the square resize_side and take its center
+    input_side crop, as evaluation and saliency see images: an
+    (N, S, S, C) uint8 array, with C the channel count of the first image."""
+    r, s = arch.resize_side, arch.input_side
+    lo, c = (r - s) // 2, images[0].channels if images else arch.in_channels
+    out = np.empty((len(images), s, s, c), dtype=np.uint8)
+    for i, img in enumerate(images):
+        if img.channels != c:
+            raise ShapeMismatch(f"image {i} has {img.channels} channels, the first has {c}")
+        out[i] = resize(img, r, r).pixels[lo : lo + s, lo : lo + s]
+    return out
+
+
 def preprocess_image(image: Image, arch: ArchSpec) -> Image:
-    """Resize to the square resize_side then center-crop to the network
-    input side, as evaluation and saliency see an image."""
-    resized = resize(image, arch.resize_side, arch.resize_side)
-    return jittered_center_crop(resized, arch.input_side, 0)
+    """The one-image case of preprocess_images."""
+    return Image(preprocess_images([image], arch)[0])
 
 
 def _to_input(pixels: np.ndarray) -> np.ndarray:
@@ -442,19 +447,19 @@ def _to_input(pixels: np.ndarray) -> np.ndarray:
 
 
 def forward_images(params: ModelParams, images):
-    """Forward traces of already-preprocessed images, FORWARD_CHUNK at a time."""
+    """Forward traces of preprocessed images (the uint8 array of
+    preprocess_images or a list of Images), converted FORWARD_CHUNK at a time."""
     arch = params.arch
     want = (arch.input_side, arch.input_side, arch.in_channels)
-    for im in images:
-        if im.pixels.shape != want:
-            raise ShapeMismatch(f"expected (H, W, C) = {want} input, got {im.pixels.shape}")
     for i in range(0, len(images), FORWARD_CHUNK):
-        pixels = np.stack([im.pixels for im in images[i : i + FORWARD_CHUNK]])
+        pixels = np.asarray(images[i : i + FORWARD_CHUNK])
+        if pixels.shape[1:] != want:
+            raise ShapeMismatch(f"expected (N, H, W, C) input, (H, W, C) = {want}, got {pixels.shape}")
         yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2)))
 
 
 def extract_features(params: ModelParams, images) -> np.ndarray:
-    """Trunk outputs h(x), one row of length D per already-preprocessed image."""
+    """Trunk outputs h(x), one row of length D per preprocessed image."""
     chunks = [trace.feature for trace in forward_images(params, images)]
     return np.concatenate(chunks) if chunks else np.empty((0, params.arch.feature_dim))
 

@@ -29,8 +29,6 @@ class OcclusionConfig:
     ratio_hi] and its width/height ratio uniformly from [aspect_lo,
     aspect_hi]. background_band is the fraction of image height (from the
     top) the patch may be cropped from; 1.0 allows the whole image.
-    regenerate_per_epoch controls whether training rebuilds the occlusion
-    set every epoch-length block of iterations instead of once up front.
     """
 
     patch_side: int
@@ -40,7 +38,6 @@ class OcclusionConfig:
     aspect_hi: float = 2.0
     background_band: float = 0.25
     seed: int = 0
-    regenerate_per_epoch: bool = False
 
     def __post_init__(self):
         if self.patch_side < 1:
@@ -99,13 +96,21 @@ def sample_occluded_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: Spli
     )
 
 
-def _patch_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: SplitMix64) -> Rect:
+def check_patch_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> int:
+    """Height of the background band of an img_w x img_h image; raises
+    InfeasibleGeometry when the patch does not fit in it."""
     band_h = _round_half_up(cfg.background_band * img_h)
     s = cfg.patch_side
     if s > img_w or s > band_h:
         raise InfeasibleGeometry(
-            f"{s}x{s} patch does not fit the {img_w}x{band_h} background band"
+            f"patch_side {s} does not fit the {img_w}x{band_h} background band"
         )
+    return band_h
+
+
+def _patch_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: SplitMix64) -> Rect:
+    band_h = check_patch_fits(cfg, img_w, img_h)
+    s = cfg.patch_side
     x = rng.randint(0, img_w - s)
     y = rng.randint(0, band_h - s)
     return Rect(x, y, s, s)

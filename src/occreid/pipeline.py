@@ -22,10 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, occlusion_config, probe_occlusion_config, write_resolved
+from .config import (
+    ExperimentConfig,
+    occlusion_config,
+    probe_occlusion_config,
+    train_config,
+    write_resolved,
+)
 from .dataset import (
     Occlusion,
-    PersonSample,
     generate_synthetic_dataset,
     scan_dataset,
     split_identities,
@@ -33,13 +38,10 @@ from .dataset import (
 from .evaluate import EvalReport, evaluate
 from .imaging import Image, load_image, resize, save_image
 from .model import (
-    ArchSpec,
-    ConvSpec,
     ModelParams,
-    TrainConfig,
     extract_features,
     load_checkpoint,
-    preprocess_image,
+    preprocess_images,
     save_checkpoint,
     to_checkpoint_precision,
     train,
@@ -72,31 +74,6 @@ class ExperimentData:
     split: object
     train_full: list
     test_samples: list
-
-
-def _arch(cfg: ExperimentConfig) -> ArchSpec:
-    t = cfg.train
-    return ArchSpec(
-        input_side=t.input_side,
-        resize_side=t.resize_side,
-        in_channels=3,
-        convs=tuple(ConvSpec(c, t.kernel, t.stride) for c in t.conv_channels),
-    )
-
-
-def _train_config(cfg: ExperimentConfig, seed: int, alpha: float) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        alpha=alpha,
-        learning_rate=t.learning_rate,
-        batch_size=t.batch_size,
-        iterations=t.iterations,
-        seed=seed,
-        arch=_arch(cfg),
-        max_jitter=None if t.max_jitter < 0 else t.max_jitter,
-        lr_decay_every=t.lr_decay_every,
-        lr_decay_factor=t.lr_decay_factor,
-    )
 
 
 def load_samples(cfg: ExperimentConfig) -> list:
@@ -168,10 +145,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     """Apply the simulator to every full-body sample; write images and a
     manifest row per sample (source, label, rects, ratio, seed)."""
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
     samples = [s for s in load_samples(cfg) if s.occlusion is Occlusion.FULL_BODY]
     occ_cfg = occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_OS))
     occluded, records = build_occlusion_set(samples, occ_cfg)
+    _write_provenance(cfg, out_dir)
     img_dir = out_dir / "images"
     img_dir.mkdir(exist_ok=True)
     lines = [
@@ -190,15 +167,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     return {"count": len(occluded), "mean_area_ratio": mean_ratio}
 
 
-def _build_training_set(cfg: ExperimentConfig, data: ExperimentData, epoch: int = 0):
-    x = data.train_full
-    if not cfg.run.use_os:
-        return list(x)
+def _build_occluded_set(cfg: ExperimentConfig, data: ExperimentData, epoch: int = 0) -> list:
     os_seed = derive_seed(cfg.run.seed, TAG_OS)
     if epoch:
         os_seed = derive_seed(os_seed, epoch)
-    z, _ = build_occlusion_set(x, occlusion_config(cfg, os_seed))
-    return combine(x, z)
+    return build_occlusion_set(data.train_full, occlusion_config(cfg, os_seed))[0]
 
 
 def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
@@ -214,15 +187,14 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
     with warnings.catch_warnings():
         if not cfg.run.use_obc:
             warnings.simplefilter("ignore")  # alpha=1 is deliberate here
-        tcfg = _train_config(cfg, train_seed, alpha)
-    combined = _build_training_set(cfg, data)
-    if not (cfg.occlusion.regenerate_per_epoch and cfg.run.use_os):
-        return train(combined, tcfg)
-    epoch_len = max(1, math.ceil(len(combined) / tcfg.batch_size))
-    cache = {
-        s.id: resize(s.image, tcfg.arch.resize_side, tcfg.arch.resize_side)
-        for s in data.train_full
-    }
+        tcfg = train_config(cfg, train_seed, alpha)
+    if not cfg.run.use_os:
+        return train(data.train_full, tcfg)
+    if not cfg.occlusion.regenerate_per_epoch:
+        return train(combine(data.train_full, _build_occluded_set(cfg, data)), tcfg)
+    side = tcfg.arch.resize_side  # resized once; train uses samples at this size as they are
+    full = [dataclasses.replace(s, image=resize(s.image, side, side)) for s in data.train_full]
+    epoch_len = max(1, math.ceil(2 * len(full) / tcfg.batch_size))
     params, history = None, []
     done, epoch = 0, 0
     while done < tcfg.iterations:
@@ -230,9 +202,8 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             seg_cfg = dataclasses.replace(tcfg, iterations=step)
-        if epoch:
-            combined = _build_training_set(cfg, data, epoch)
-        params, rows = train(combined, seg_cfg, params, done, resize_cache=cache)
+        combined = combine(full, _build_occluded_set(cfg, data, epoch))
+        params, rows = train(combined, seg_cfg, params, done)
         history.extend(rows)
         done += step
         epoch += 1
@@ -241,8 +212,8 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
     params, history = train_model(cfg)
+    _write_provenance(cfg, out_dir)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(params, ckpt)
     lines = ["# iteration\ttotal\tid_loss\tobc_loss"]
@@ -266,7 +237,7 @@ def _write_report(report: EvalReport, path: Path) -> None:
 def evaluate_model(cfg: ExperimentConfig, params: ModelParams, data: ExperimentData) -> dict:
     """One report per shot count; test features are extracted once."""
     samples = data.test_samples
-    feats = extract_features(params, [preprocess_image(s.image, params.arch) for s in samples])
+    feats = extract_features(params, preprocess_images([s.image for s in samples], params.arch))
     ev = cfg.eval
     eval_seed = derive_seed(cfg.run.seed, TAG_EVAL)
     return {
@@ -295,9 +266,9 @@ def _write_trial_manifest(report: EvalReport, path: Path) -> None:
 def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
-    _write_provenance(cfg, out_dir)
     data = prepare_experiment(cfg)
     reports = evaluate_model(cfg, params, data)
+    _write_provenance(cfg, out_dir)
     _write_split_manifest(data, out_dir)
     summary = ["# shots\trank1\trank5\trank10"]
     series = []
@@ -327,7 +298,6 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
     """Evaluate the ablation grid; every regime shares the same data,
     split, probe and seed streams so rows differ only in the switches."""
     out_dir = Path(out_dir)
-    _write_provenance(cfg, out_dir)
     selected = [r for r in _REGIMES if regimes is None or r[0] in regimes]
     data = prepare_experiment(cfg)  # the switches never reach data, split or probes
     results = {}
@@ -345,6 +315,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
             series.setdefault(n, []).append(
                 (name, list(range(1, len(rep.cmc) + 1)), [r * 100 for r in rep.cmc])
             )
+    _write_provenance(cfg, out_dir)
     (out_dir / "ablation.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     for n, s in sorted(series.items()):
         line_plot(s, out_dir / f"ablation_cmc_n{n}.svg", f"CMC, N={n}", "rank", "match rate (%)")
@@ -357,7 +328,6 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
-    _write_provenance(cfg, out_dir)
     data = prepare_experiment(cfg)  # alpha never reaches data, split or probes
     results = {}
     for a in sorted(alphas):
@@ -368,6 +338,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
         )
         results[a] = train_and_eval(sub, data)
     shots = sorted(next(iter(results.values()))) if results else []
+    _write_provenance(cfg, out_dir)
     rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
     for a in sorted(results):
         rows.append(f"{a!r}\t" + "\t".join(f"{results[a][n].rank1!r}" for n in shots))
@@ -380,22 +351,6 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     return results
 
 
-def _mask_for(cfg: ExperimentConfig, sample: PersonSample) -> Image | None:
-    if not cfg.dataset.root:
-        return None
-    mask_path = (Path(cfg.dataset.root) / sample.id).with_suffix(".mask.pgm")
-    if not mask_path.exists():
-        return None
-    return load_image(mask_path)
-
-
-def _prep_mask(mask: Image, arch: ArchSpec) -> Image:
-    """Carry an annotation through the same resize and center crop as the
-    image, then re-binarize."""
-    prepped = preprocess_image(mask, arch)
-    return Image(np.where(prepped.pixels > 127, 255, 0).astype(np.uint8))
-
-
 def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> dict:
     """Write one PGM saliency map per sample; where annotation masks exist,
     also report per-image detection precision and its mean.
@@ -406,25 +361,26 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
     checkpoints = [("model", load_checkpoint(checkpoint))]
     if compare is not None:
         checkpoints.append(("compare", load_checkpoint(compare)))
-    _write_provenance(cfg, out_dir)
     samples = prepare_experiment(cfg).test_samples
+    root = cfg.dataset.root  # a scanned image may have a <name>.mask.pgm annotation beside it
+    paths = {i: (Path(root) / s.id).with_suffix(".mask.pgm") for i, s in enumerate(samples) if root}
+    masks = {i: load_image(p) for i, p in paths.items() if p.exists()}
+    _write_provenance(cfg, out_dir)
     summary = {}
     for label, params in checkpoints:
         map_dir = out_dir / ("maps" if label == "model" else f"maps_{label}")
         map_dir.mkdir(exist_ok=True)
-        maps = saliency_maps(params, [preprocess_image(s.image, params.arch) for s in samples])
-        rows = ["# sample_id\tprecision"]
-        precisions = []
+        maps = saliency_maps(params, preprocess_images([s.image for s in samples], params.arch))
         for s, smap in zip(samples, maps):
             save_image(smap.to_image(), map_dir / f"{_safe_name(s.id)}.pgm")
-            mask = _mask_for(cfg, s)
-            if mask is None:
-                continue
-            prec = detection_precision(
-                binarize(smap, cfg.saliency.quantile), _prep_mask(mask, params.arch)
-            )
+        # annotations take the images' resize and center crop, then are re-binarized
+        bodies = preprocess_images(list(masks.values()), params.arch) > 127
+        rows = ["# sample_id\tprecision"]
+        precisions = []
+        for i, body in zip(masks, bodies):
+            prec = detection_precision(binarize(maps[i], cfg.saliency.quantile), Image(body * 255))
             precisions.append(prec)
-            rows.append(f"{s.id}\t{prec!r}")
+            rows.append(f"{samples[i].id}\t{prec!r}")
         mean = float(np.mean(precisions)) if precisions else None
         if precisions:
             rows.append(f"# per_image_mean\t{mean!r}")

@@ -53,7 +53,7 @@ def map_from_feature_maps(maps: np.ndarray, out_side: int) -> SaliencyMap:
 
 
 def saliency_maps(params: ModelParams, images) -> list:
-    """One map per network-input-sized image; output dims equal input dims."""
+    """One map per preprocessed image; output dims equal input dims."""
     side = params.arch.input_side
     return [
         map_from_feature_maps(maps, side)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occreid.cli import main
 from occreid.config import ExperimentConfig, load_config, render_config
@@ -87,6 +89,83 @@ class TestConfig:
         p.write_text("[eval]\ntrials = often\n", encoding="utf-8")
         with pytest.raises(ValueError, match="trials"):
             load_config(p)
+
+
+def _ini_values(**fields):
+    """Strategy for one INI section's text: each key is set or left at its
+    default, from mostly valid values with some invalid ones."""
+    return st.fixed_dictionaries({}, optional=fields).map(
+        lambda d: "".join(f"{k} = {v}\n" for k, v in d.items())
+    )
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+_TRAIN = _ini_values(
+    alpha=_real(-0.1, 1.1),
+    learning_rate=_real(-0.1, 1.0),
+    batch_size=st.integers(0, 40),
+    iterations=st.integers(-1, 50),
+    input_side=st.integers(1, 40),
+    resize_side=st.integers(1, 44),
+    max_jitter=st.integers(-2, 4),
+    conv_channels=st.lists(st.integers(0, 8), min_size=1, max_size=3).map(
+        lambda c: ",".join(map(str, c))
+    ),
+    kernel=st.sampled_from([1, 2, 3, 5]),
+    stride=st.integers(0, 3),
+)
+_DATASET = _ini_values(
+    identities=st.integers(1, 6),
+    per_identity=st.integers(1, 12),
+    image_width=st.integers(1, 40),
+    image_height=st.integers(1, 80),
+    split_fraction=_real(0.0, 1.1),
+)
+_OCCLUSION = _ini_values(
+    patch_side=st.integers(0, 24),
+    ratio_lo=_real(0.0, 0.6),
+    ratio_hi=_real(0.1, 1.0),
+    aspect_lo=_real(0.0, 2.0),
+    aspect_hi=_real(0.5, 3.0),
+    background_band=_real(0.0, 1.1),
+    probe_ratio_lo=_real(-1.0, 0.6),
+    probe_band=_real(-1.0, 1.1),
+)
+
+
+class TestConfigBuilds:
+    @settings(max_examples=300, deadline=None)
+    @given(train=_TRAIN, dataset=_DATASET, occlusion=_OCCLUSION)
+    def test_accepted_config_builds_the_run(self, train, dataset, occlusion):
+        """Whatever load_config accepts builds the run's TrainConfig,
+        ArchSpec and both OcclusionConfigs, with the synthetic images'
+        patch inside its background band; a rejection names its section."""
+        import tempfile
+        import warnings
+        from pathlib import Path
+
+        from occreid.config import arch_spec, occlusion_config, probe_occlusion_config, train_config
+        from occreid.occsim import check_patch_fits
+
+        text = f"[train]\n{train}[dataset]\n{dataset}[occlusion]\n{occlusion}"
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.ini"
+            path.write_text(text, encoding="utf-8")
+            try:
+                cfg = load_config(path)
+            except ValueError as e:
+                sections = ("train", "dataset", "occlusion", "eval")
+                assert any(f"[{sec}] " in str(e) for sec in sections)
+                return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # alpha 0 or 1 warns by design
+            tcfg = train_config(cfg, 3, cfg.train.alpha)
+        assert tcfg.arch == arch_spec(cfg)
+        for build in (occlusion_config, probe_occlusion_config):
+            check_patch_fits(build(cfg, 3), cfg.dataset.image_width, cfg.dataset.image_height)
 
 
 class TestSimulateCommand:
@@ -335,6 +414,17 @@ class TestExitCodes:
                 "occlusion", {"ratio_lo": "0.5", "ratio_hi": "0.2"}, id="ratio_lo > ratio_hi"
             ),
             pytest.param("occlusion", {"probe_ratio_lo": "0.5"}, id="probe_ratio_lo > ratio_hi"),
+            pytest.param("occlusion", {"patch_side": "10"}, id="patch_side = 10 on 16x24"),
+            pytest.param("train", {"batch_size": "0"}, id="batch_size = 0"),
+            pytest.param("train", {"learning_rate": "-1"}, id="learning_rate = -1"),
+            pytest.param("train", {"alpha": "1.5"}, id="alpha = 1.5"),
+            pytest.param("train", {"kernel": "2"}, id="kernel = 2"),
+            pytest.param("train", {"conv_channels": ""}, id="conv_channels ="),
+            pytest.param("train", {"input_side": "40"}, id="input_side = 40"),
+            pytest.param("train", {"max_jitter": "5"}, id="max_jitter = 5"),
+            pytest.param("dataset", {"identities": "1"}, id="identities = 1"),
+            pytest.param("dataset", {"split_fraction": "1.5"}, id="split_fraction = 1.5"),
+            pytest.param("eval", {"shots": "1,5"}, id="shots = 1,5 on 4 per identity"),
         ],
     )
     def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, section, bad):
@@ -410,20 +500,43 @@ class TestExitCodes:
             ("saliency", ["--checkpoint", "{missing}"], 2),
             ("saliency", ["--checkpoint", "{valid}", "--compare", "{missing}"], 2),
             ("sweep-alpha", ["--alphas", "0.5,2.0"], 1),
+            ("eval", ["--checkpoint", "{gray}"], 2),  # fails at the first forward
         ],
     )
     def test_failing_command_writes_nothing(self, tmp_path, config_path, capsys, command, extra, code):
+        import dataclasses
+
         from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
 
-        valid = tmp_path / "valid.bin"
+        valid, gray = tmp_path / "valid.bin", tmp_path / "gray.bin"
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         save_checkpoint(init_params(arch, 2, 0), valid)
-        paths = {"missing": tmp_path / "nope.bin", "valid": valid}
+        save_checkpoint(init_params(dataclasses.replace(arch, in_channels=1), 2, 0), gray)
+        paths = {"missing": tmp_path / "nope.bin", "valid": valid, "gray": gray}
         out = tmp_path / "out"
         args = [command, "--config", str(config_path), "--out", str(out)]
         assert main(args + [a.format(**paths) for a in extra]) == code
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "report", "simulate", "sweep-alpha"])
+    def test_patch_outside_scanned_images_band_writes_nothing(self, tmp_path, capsys, command):
+        # on-disk image sizes are known only after the scan: the 16x24 images
+        # have a 16x6 background band, too small for a 10-pixel patch
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            for branch in ("whole", "occluded"):
+                p = root / branch / f"{s.identity:03d}"
+                p.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, p / f"{s.id}.ppm")
+        cfg = tmp_path / "cfg.ini"
+        text = TINY_CONFIG.replace("[dataset]", f"[dataset]\nroot = {root}")
+        cfg.write_text(text.replace("patch_side = 6", "patch_side = 10"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "patch_side 10" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_numeric_failure_float32_overflow(self, tmp_path, capsys):
         # the default config at this rate keeps finite float64 gradients but

@@ -32,6 +32,7 @@ from occreid.model import (
     multi_task_loss,
     obc_loss,
     preprocess_image,
+    preprocess_images,
     save_checkpoint,
     sgd_step,
     to_checkpoint_precision,
@@ -507,17 +508,21 @@ def replay_train_inputs(samples, cfg, start_iteration=0):
 
 class TestTrainBatchAssembly:
     @pytest.mark.parametrize(
-        "jitter, cached, start", [(3, False, 0), (3, True, 7), (0, False, 0), (0, True, 2)]
+        "jitter, presized, start", [(3, False, 0), (3, True, 7), (0, False, 0), (0, True, 2)]
     )
-    def test_forward_inputs_match_image_crops(self, monkeypatch, jitter, cached, start):
+    def test_forward_inputs_match_image_crops(self, monkeypatch, jitter, presized, start):
+        import dataclasses
+
         import occreid.model as model
 
         samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(2))
         arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         cfg = TrainConfig(batch_size=6, iterations=7, seed=11, arch=arch, max_jitter=jitter)
-        cache = None
-        if cached:
-            cache = {s.id: resize(s.image, arch.resize_side, arch.resize_side) for s in samples[::2]}
+        side = arch.resize_side
+        if presized:  # every other sample arrives already at resize_side
+            samples[::2] = [
+                dataclasses.replace(s, image=resize(s.image, side, side)) for s in samples[::2]
+            ]
         seen, resized = [], []
 
         def spy_forward(params, batch):
@@ -525,17 +530,21 @@ class TestTrainBatchAssembly:
             return forward(params, batch)
 
         def spy_resize(img, w, h):
-            resized.append(img)
-            return resize(img, w, h)
+            out = resize(img, w, h)
+            resized.append((img, out))
+            return out
 
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "resize", spy_resize)
-        train(samples, cfg, start_iteration=start, resize_cache=cache)
+        train(samples, cfg, start_iteration=start)
         want = replay_train_inputs(samples, cfg, start)
         assert len(seen) == len(want) == cfg.iterations
         for got, ref in zip(seen, want):
             assert got.shape == ref.shape and np.array_equal(got, ref)
-        assert len(resized) == len(samples) - len(cache or {})
+        assert len(resized) == len(samples)
+        # a sample already at resize_side is used as it is, not resampled
+        kept = [img is out for img, out in resized]
+        assert kept == [presized and i % 2 == 0 for i in range(len(samples))]
 
     @pytest.mark.parametrize("jitter", [-1, 4])
     def test_jitter_outside_crop_margin_rejected(self, jitter):
@@ -572,12 +581,49 @@ class TestFeatureExtraction:
         with pytest.raises(ShapeMismatch):
             extract_features(params, [Image(np.zeros((4, 4, 3), dtype=np.uint8))])
 
+    def test_array_and_image_list_give_identical_results(self):
+        from occreid.saliency import saliency_maps
+
+        params = tiny_params()
+        gen = np.random.Generator(np.random.PCG64(14))
+        pixels = gen.integers(0, 256, (FORWARD_CHUNK + 5, 8, 8, 3), dtype=np.uint8)
+        images = [Image(p) for p in pixels]
+        assert np.array_equal(extract_features(params, pixels), extract_features(params, images))
+        by_array, by_list = saliency_maps(params, pixels), saliency_maps(params, images)
+        assert len(by_array) == len(by_list) == len(images)
+        for a, b in zip(by_array, by_list):
+            assert np.array_equal(a.values, b.values)
+
     def test_preprocess_produces_network_input(self):
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         gen = np.random.Generator(np.random.PCG64(3))
         img = Image(gen.integers(0, 256, (40, 20, 3), dtype=np.uint8))
         out = preprocess_image(img, arch)
         assert (out.width, out.height) == (12, 12)
+
+
+class TestPreprocessImages:
+    ARCH = ArchSpec(input_side=12, resize_side=15, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_rows_match_resize_then_center_crop(self, channels):
+        # sizes below, at and above resize_side, square and not
+        arch = self.ARCH
+        gen = np.random.Generator(np.random.PCG64(5))
+        sizes = [(40, 20), (15, 15), (12, 12), (9, 30), (3, 2), (15, 40)]
+        images = [Image(gen.integers(0, 256, (h, w, channels), dtype=np.uint8)) for h, w in sizes]
+        batch = preprocess_images(images, arch)
+        assert batch.shape == (len(images), 12, 12, channels) and batch.dtype == np.uint8
+        for row, img in zip(batch, images):
+            resized = resize(img, arch.resize_side, arch.resize_side)
+            assert np.array_equal(row, jittered_center_crop(resized, arch.input_side, 0).pixels)
+            assert np.array_equal(row, preprocess_image(img, arch).pixels)
+
+    def test_empty_and_mixed_channels(self):
+        assert preprocess_images([], self.ARCH).shape == (0, 12, 12, 3)
+        gray, color = Image(np.zeros((20, 10, 1), np.uint8)), Image(np.zeros((20, 10, 3), np.uint8))
+        with pytest.raises(ShapeMismatch, match="channels"):
+            preprocess_images([color, gray], self.ARCH)
 
 
 class TestCheckpoint:

@@ -82,10 +82,10 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0, resize_cache=None):
+        def spy(samples, cfg, params=None, start_iteration=0):
             seen["n"] = len(samples)
             seen["flags"] = {s.occlusion for s in samples}
-            return original(samples, cfg, params, start_iteration, resize_cache)
+            return original(samples, cfg, params, start_iteration)
 
         monkeypatch.setattr(pipeline, "train", spy)
         cfg = tiny_cfg(use_os=False)
@@ -97,9 +97,9 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0, resize_cache=None):
+        def spy(samples, cfg, params=None, start_iteration=0):
             seen["n"] = len(samples)
-            return original(samples, cfg, params, start_iteration, resize_cache)
+            return original(samples, cfg, params, start_iteration)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_os=True))
@@ -109,9 +109,9 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0, resize_cache=None):
+        def spy(samples, cfg, params=None, start_iteration=0):
             seen["alpha"] = cfg.alpha
-            return original(samples, cfg, params, start_iteration, resize_cache)
+            return original(samples, cfg, params, start_iteration)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_obc=False))
@@ -227,6 +227,70 @@ class TestEvalManifests:
             (smap,) = saliency_maps(loaded, [preprocess_image(s.image, loaded.arch)])
             save_image(smap.to_image(), single)
             assert (map_dir / f"{_safe_name(s.id)}.pgm").read_bytes() == single.read_bytes(), s.id
+
+
+class TestArrayPathMatchesImageReference:
+    """Evaluation features and saliency precision from the one-array
+    preprocessing equal the per-Image preprocess_image path."""
+
+    @staticmethod
+    def scanned_cfg(root):
+        from occreid.dataset import generate_synthetic_dataset
+        from occreid.imaging import Image, save_image
+        from occreid.rng import SplitMix64
+
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(6)):
+            j = int(s.id.rsplit("_", 1)[1])
+            for branch in ("whole", "occluded") if j < 2 else ("whole",):
+                d = root / branch / f"{s.identity:03d}"
+                d.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, d / f"{j}.ppm")
+                # strips of 126..129 along two sides keep values on both
+                # sides of 127 through the resize, where the re-binarisation
+                # decides them
+                mask = np.zeros((24, 16), np.uint8)
+                mask[10:22, 10:14] = 255
+                for k, value in enumerate((126, 127, 128, 129)):
+                    mask[:, 2 + 2 * k : 4 + 2 * k] = mask[2 + 2 * k : 4 + 2 * k, :] = value
+                save_image(Image(mask), d / f"{j}.mask.pgm")
+        cfg = tiny_cfg()
+        cfg.dataset.root = str(root)
+        cfg.saliency.quantile = 0.3
+        return cfg
+
+    def test_eval_and_saliency_precision(self, tmp_path):
+        from occreid.evaluate import evaluate
+        from occreid.imaging import Image, load_image
+        from occreid.model import extract_features, preprocess_image
+        from occreid.pipeline import TAG_EVAL, evaluate_model
+        from occreid.saliency import binarize, detection_precision, saliency_maps
+
+        cfg = self.scanned_cfg(tmp_path / "data")
+        data = prepare_experiment(cfg)
+        params, _ = train_model(cfg, data)
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(params, ckpt)
+        params = load_checkpoint(ckpt)
+        arch = params.arch
+        prepped = [preprocess_image(s.image, arch) for s in data.test_samples]
+
+        feats = extract_features(params, prepped)
+        seed = derive_seed(derive_seed(cfg.run.seed, TAG_EVAL), 1)
+        want = evaluate(feats, data.test_samples, 1, cfg.eval.trials, seed, cfg.eval.aggregate)
+        assert evaluate_model(cfg, params, data)[1] == want
+
+        run_saliency(cfg, ckpt, tmp_path / "out")
+        rows = (tmp_path / "out" / "precision_model.tsv").read_text().splitlines()
+        got = dict(r.split("\t") for r in rows if not r.startswith("#"))
+        assert len(got) == len(data.test_samples)
+        near = set()
+        for s, smap in zip(data.test_samples, saliency_maps(params, prepped)):
+            mask_path = tmp_path / "data" / s.id.replace(".ppm", ".mask.pgm")
+            mask = preprocess_image(load_image(mask_path), arch)
+            near |= set(np.unique(mask.pixels))
+            body = Image(np.where(mask.pixels > 127, 255, 0).astype(np.uint8))
+            assert got[s.id] == repr(detection_precision(binarize(smap, 0.3), body)), s.id
+        assert {127, 128} <= near
 
 
 class TestSaliencyComparison:
