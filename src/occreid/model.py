@@ -11,6 +11,7 @@ numpy arrays in float64; checkpoints store float32.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -141,7 +142,6 @@ class ModelParams:
 class ForwardTrace:
     """Everything backward and the saliency map need from one forward pass."""
 
-    inputs: np.ndarray
     cols: list
     preacts: list
     acts: list
@@ -247,7 +247,7 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
     feature = a.mean(axis=(2, 3))
     id_logits = feature @ params.id_w.T + params.id_b
     obc_logits = feature @ params.obc_w.T + params.obc_b
-    return ForwardTrace(x, cols_list, preacts, acts, feature, id_logits, obc_logits)
+    return ForwardTrace(cols_list, preacts, acts, feature, id_logits, obc_logits)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -354,7 +354,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
     return _params_from_dict(params.arch, updated)
 
 
-def train(samples, cfg: TrainConfig, params: ModelParams | None = None, start_iteration: int = 0):
+def train(samples, cfg: TrainConfig, occlusions=None):
     """SGD over the sample set with jittered center-crop augmentation.
 
     The resized set is stacked once as an (N, R, R, C) uint8 array; each
@@ -367,39 +367,45 @@ def train(samples, cfg: TrainConfig, params: ModelParams | None = None, start_it
     and one (iteration, total, id_loss, obc_loss) row per step, where
     total is exactly alpha * id + (1 - alpha) * obc.
 
-    Passing params continues training (used for per-epoch regeneration of
-    the occlusion set); the class count must match. Samples already at
-    resize_side are used as they are.
+    occlusions, when given, maps an epoch number to that epoch's occluded
+    set, one sample per input sample. Training then runs in epochs of
+    max(1, ceil(2N / batch_size)) iterations over samples + occlusions(e):
+    each epoch rewrites only the occluded half of the stack, and at its
+    first iteration `it` the shuffle and jitter streams restart from
+    derive_seed(derive_seed(seed, 1 or 2), it) with an empty queue.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("empty training set")
     arch = cfg.arch
+    n = len(samples)
     identities = sorted({s.identity for s in samples})
     label_of = {ident: i for i, ident in enumerate(identities)}
-    labels_all = np.array([label_of[s.identity] for s in samples])
-    flags_all = np.array([s.occlusion.obc_target for s in samples])
-    if params is None:
-        params = init_params(arch, len(identities), derive_seed(cfg.seed, 0))
-    elif params.num_classes != len(identities):
-        raise ShapeMismatch(
-            f"params expect {params.num_classes} classes, set has {len(identities)}"
-        )
+    params = init_params(arch, len(identities), derive_seed(cfg.seed, 0))
     jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
     side = arch.resize_side
-    stack = np.stack([resize(s.image, side, side).pixels for s in samples])
+    copies = 1 if occlusions is None else 2  # rows n: hold the occluded half, rewritten per epoch
+    stack = np.stack([resize(s.image, side, side).pixels for s in samples] * copies)
+    labels_all = np.array([label_of[s.identity] for s in samples] * copies)
+    flags_all = np.array([s.occlusion.obc_target for s in samples] * copies)
     # every input_side crop as a view, indexed (sample, y, x) -> (C, S, S)
     crops = sliding_window_view(stack, (arch.input_side, arch.input_side), axis=(1, 2))
     center = (side - arch.input_side) // 2
-    order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start_iteration))
-    jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start_iteration))
+    epoch_len = cfg.iterations if occlusions is None else max(1, math.ceil(2 * n / cfg.batch_size))
 
-    queue: list[int] = []
     history = []
-    for i in range(cfg.iterations):
-        it = start_iteration + i
+    for it in range(cfg.iterations):
+        if it % epoch_len == 0:  # an epoch starts: fresh occlusions, streams and queue
+            if occlusions is not None:
+                occluded = list(occlusions(it // epoch_len))
+                stack[n:] = [resize(z.image, side, side).pixels for z in occluded]
+                labels_all[n:] = [label_of[z.identity] for z in occluded]
+                flags_all[n:] = [z.occlusion.obc_target for z in occluded]
+            order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), it))
+            jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), it))
+            queue: list[int] = []
         while len(queue) < cfg.batch_size:
-            block = list(range(len(samples)))
+            block = list(range(len(stack)))
             order_rng.shuffle(block)
             queue.extend(block)
         batch = queue[: cfg.batch_size]

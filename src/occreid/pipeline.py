@@ -16,7 +16,6 @@ the training-time simulator.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .dataset import (
     split_identities,
 )
 from .evaluate import EvalReport, evaluate
-from .imaging import Image, load_image, resize, save_image
+from .imaging import Image, load_image, save_image
 from .model import (
     ModelParams,
     extract_features,
@@ -178,8 +177,9 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
     """Train under the configured ablation switches.
 
     use_os=False trains on the full-body set only; use_obc=False forces
-    alpha to 1 so the occlusion head receives no gradient. Returns
-    (params, history rows).
+    alpha to 1 so the occlusion head receives no gradient. With
+    regenerate_per_epoch the occluded half is drawn afresh for each epoch
+    from a stream derived per epoch. Returns (params, history rows).
     """
     data = data or prepare_experiment(cfg)
     alpha = cfg.train.alpha if cfg.run.use_obc else 1.0
@@ -190,24 +190,9 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
         tcfg = train_config(cfg, train_seed, alpha)
     if not cfg.run.use_os:
         return train(data.train_full, tcfg)
-    if not cfg.occlusion.regenerate_per_epoch:
-        return train(combine(data.train_full, _build_occluded_set(cfg, data)), tcfg)
-    side = tcfg.arch.resize_side  # resized once; train uses samples at this size as they are
-    full = [dataclasses.replace(s, image=resize(s.image, side, side)) for s in data.train_full]
-    epoch_len = max(1, math.ceil(2 * len(full) / tcfg.batch_size))
-    params, history = None, []
-    done, epoch = 0, 0
-    while done < tcfg.iterations:
-        step = min(epoch_len, tcfg.iterations - done)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            seg_cfg = dataclasses.replace(tcfg, iterations=step)
-        combined = combine(full, _build_occluded_set(cfg, data, epoch))
-        params, rows = train(combined, seg_cfg, params, done)
-        history.extend(rows)
-        done += step
-        epoch += 1
-    return params, history
+    if cfg.occlusion.regenerate_per_epoch:
+        return train(data.train_full, tcfg, occlusions=lambda e: _build_occluded_set(cfg, data, e))
+    return train(combine(data.train_full, _build_occluded_set(cfg, data)), tcfg)
 
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
@@ -365,24 +350,27 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
     root = cfg.dataset.root  # a scanned image may have a <name>.mask.pgm annotation beside it
     paths = {i: (Path(root) / s.id).with_suffix(".mask.pgm") for i, s in enumerate(samples) if root}
     masks = {i: load_image(p) for i, p in paths.items() if p.exists()}
-    _write_provenance(cfg, out_dir)
-    summary = {}
+    results = []  # every checkpoint runs before anything is written
     for label, params in checkpoints:
-        map_dir = out_dir / ("maps" if label == "model" else f"maps_{label}")
-        map_dir.mkdir(exist_ok=True)
         maps = saliency_maps(params, preprocess_images([s.image for s in samples], params.arch))
-        for s, smap in zip(samples, maps):
-            save_image(smap.to_image(), map_dir / f"{_safe_name(s.id)}.pgm")
         # annotations take the images' resize and center crop, then are re-binarized
         bodies = preprocess_images(list(masks.values()), params.arch) > 127
-        rows = ["# sample_id\tprecision"]
-        precisions = []
-        for i, body in zip(masks, bodies):
-            prec = detection_precision(binarize(maps[i], cfg.saliency.quantile), Image(body * 255))
-            precisions.append(prec)
-            rows.append(f"{samples[i].id}\t{prec!r}")
+        precisions = [
+            detection_precision(binarize(maps[i], cfg.saliency.quantile), Image(body * 255))
+            for i, body in zip(masks, bodies)
+        ]
+        results.append((label, maps, precisions))
+    _write_provenance(cfg, out_dir)
+    summary = {}
+    for label, maps, precisions in results:
+        map_dir = out_dir / ("maps" if label == "model" else f"maps_{label}")
+        map_dir.mkdir(exist_ok=True)
+        for s, smap in zip(samples, maps):
+            save_image(smap.to_image(), map_dir / f"{_safe_name(s.id)}.pgm")
         mean = float(np.mean(precisions)) if precisions else None
         if precisions:
+            rows = ["# sample_id\tprecision"]
+            rows += [f"{samples[i].id}\t{prec!r}" for i, prec in zip(masks, precisions)]
             rows.append(f"# per_image_mean\t{mean!r}")
             (out_dir / f"precision_{label}.tsv").write_text(
                 "\n".join(rows) + "\n", encoding="utf-8"

@@ -76,11 +76,6 @@ class SplitMix64:
             if u < limit:
                 return lo + (u % span)
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[self.randint(0, len(seq) - 1)]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

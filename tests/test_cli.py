@@ -251,6 +251,23 @@ class TestTrainEvalCommands:
         assert "use_os = False" in resolved
         assert "use_obc = False" in resolved
 
+    def test_zero_iterations_with_regeneration(self, tmp_path):
+        # no epoch runs, so regeneration must give the initial checkpoint
+        # that training without it writes
+        ckpts = []
+        for regen in ("false", "true"):
+            cfg = tmp_path / f"regen_{regen}.ini"
+            text = TINY_CONFIG.replace("iterations = 30", "iterations = 0")
+            text = text.replace("[occlusion]", f"[occlusion]\nregenerate_per_epoch = {regen}")
+            cfg.write_text(text, encoding="utf-8")
+            out = tmp_path / regen
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+            history = (out / "train" / "loss_history.tsv").read_text().splitlines()
+            assert history == ["# iteration\ttotal\tid_loss\tobc_loss"]
+            ckpts.append((out / "train" / "checkpoint.bin").read_bytes())
+        assert ckpts[0] == ckpts[1]
+
 
 class TestSaliencyCommand:
     def test_maps_only_mode(self, tmp_path, config_path):
@@ -501,6 +518,7 @@ class TestExitCodes:
             ("saliency", ["--checkpoint", "{valid}", "--compare", "{missing}"], 2),
             ("sweep-alpha", ["--alphas", "0.5,2.0"], 1),
             ("eval", ["--checkpoint", "{gray}"], 2),  # fails at the first forward
+            ("saliency", ["--checkpoint", "{valid}", "--compare", "{gray}"], 2),
         ],
     )
     def test_failing_command_writes_nothing(self, tmp_path, config_path, capsys, command, extra, code):

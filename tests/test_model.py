@@ -476,53 +476,67 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], cfg)
 
-    def test_continuation_matches_class_count(self):
-        samples, cfg = small_train_setup(5)
-        params, _ = train(samples, cfg)
-        other = generate_synthetic_dataset(3, 4, 16, 24, SplitMix64(4))
-        with pytest.raises(ShapeMismatch):
-            train(other, cfg, params=params)
 
-
-def replay_train_inputs(samples, cfg, start_iteration=0):
-    """The network inputs train should build, rebuilt from the replayed order
-    and jitter streams with jittered_center_crop on resized Images."""
+def replay_train_inputs(samples, cfg, occlusions=None):
+    """The network inputs train should build, rebuilt epoch by epoch from
+    the replayed order and jitter streams with jittered_center_crop on
+    resized Images. Without occlusions the run is one epoch."""
     arch = cfg.arch
-    order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start_iteration))
-    jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start_iteration))
-    resized = [resize(s.image, arch.resize_side, arch.resize_side) for s in samples]
-    queue, inputs = [], []
-    for _ in range(cfg.iterations):
-        while len(queue) < cfg.batch_size:
-            block = list(range(len(samples)))
-            order_rng.shuffle(block)
-            queue.extend(block)
-        batch, queue = queue[: cfg.batch_size], queue[cfg.batch_size :]
-        crops = [
-            jittered_center_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng)
-            for i in batch
-        ]
-        inputs.append(np.stack([im.to_float().transpose(2, 0, 1) for im in crops]))
+    side = arch.resize_side
+    full = [resize(s.image, side, side) for s in samples]
+    epoch_len = cfg.iterations
+    if occlusions is not None:
+        epoch_len = max(1, math.ceil(2 * len(samples) / cfg.batch_size))
+    inputs = []
+    for epoch, start in enumerate(range(0, cfg.iterations, epoch_len)):
+        resized = list(full)
+        if occlusions is not None:
+            resized += [resize(z.image, side, side) for z in occlusions(epoch)]
+        order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start))
+        jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start))
+        queue = []
+        for _ in range(min(epoch_len, cfg.iterations - start)):
+            while len(queue) < cfg.batch_size:
+                block = list(range(len(resized)))
+                order_rng.shuffle(block)
+                queue.extend(block)
+            batch, queue = queue[: cfg.batch_size], queue[cfg.batch_size :]
+            crops = [
+                jittered_center_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng)
+                for i in batch
+            ]
+            inputs.append(np.stack([im.to_float().transpose(2, 0, 1) for im in crops]))
     return inputs
 
 
 class TestTrainBatchAssembly:
     @pytest.mark.parametrize(
-        "jitter, presized, start", [(3, False, 0), (3, True, 7), (0, False, 0), (0, True, 2)]
+        "jitter, presized, occluded",
+        [(3, False, True), (3, True, False), (0, False, False), (0, True, True)],
     )
-    def test_forward_inputs_match_image_crops(self, monkeypatch, jitter, presized, start):
+    def test_forward_inputs_match_image_crops(self, monkeypatch, jitter, presized, occluded):
         import dataclasses
 
         import occreid.model as model
+        from occreid.occsim import OcclusionConfig, build_occlusion_set
 
-        samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(2))
+        sources = generate_synthetic_dataset(2, 3, 16, 24, SplitMix64(2))
         arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
-        cfg = TrainConfig(batch_size=6, iterations=7, seed=11, arch=arch, max_jitter=jitter)
+        # 6 samples: with occlusions an epoch is ceil(12 / 5) = 3 iterations, so
+        # 8 iterations run epochs of 3, 3 and 2, and each epoch wraps the shuffle
+        cfg = TrainConfig(batch_size=5, iterations=8, seed=11, arch=arch, max_jitter=jitter)
         side = arch.resize_side
+        samples = list(sources)
         if presized:  # every other sample arrives already at resize_side
             samples[::2] = [
                 dataclasses.replace(s, image=resize(s.image, side, side)) for s in samples[::2]
             ]
+        epochs = []
+
+        def occlusions(epoch):  # drawn from the unresized sources, one stream per epoch
+            epochs.append(epoch)
+            return build_occlusion_set(sources, OcclusionConfig(patch_side=6, seed=epoch))[0]
+
         seen, resized = [], []
 
         def spy_forward(params, batch):
@@ -536,15 +550,19 @@ class TestTrainBatchAssembly:
 
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "resize", spy_resize)
-        train(samples, cfg, start_iteration=start)
-        want = replay_train_inputs(samples, cfg, start)
+        train(samples, cfg, occlusions if occluded else None)
+        built = list(epochs)
+        assert built == ([0, 1, 2] if occluded else [])
+        want = replay_train_inputs(samples, cfg, occlusions if occluded else None)
         assert len(seen) == len(want) == cfg.iterations
         for got, ref in zip(seen, want):
             assert got.shape == ref.shape and np.array_equal(got, ref)
-        assert len(resized) == len(samples)
+        # each full-body sample is resized once, each epoch's occluded set once
+        n = len(samples)
+        assert len(resized) == n * (1 + len(built))
         # a sample already at resize_side is used as it is, not resampled
         kept = [img is out for img, out in resized]
-        assert kept == [presized and i % 2 == 0 for i in range(len(samples))]
+        assert kept == [presized and i % 2 == 0 for i in range(n)] + [False] * (n * len(built))
 
     @pytest.mark.parametrize("jitter", [-1, 4])
     def test_jitter_outside_crop_margin_rejected(self, jitter):

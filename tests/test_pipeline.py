@@ -82,10 +82,10 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0):
+        def spy(samples, cfg, occlusions=None):
             seen["n"] = len(samples)
             seen["flags"] = {s.occlusion for s in samples}
-            return original(samples, cfg, params, start_iteration)
+            return original(samples, cfg, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         cfg = tiny_cfg(use_os=False)
@@ -97,9 +97,9 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0):
+        def spy(samples, cfg, occlusions=None):
             seen["n"] = len(samples)
-            return original(samples, cfg, params, start_iteration)
+            return original(samples, cfg, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_os=True))
@@ -109,9 +109,9 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, params=None, start_iteration=0):
+        def spy(samples, cfg, occlusions=None):
             seen["alpha"] = cfg.alpha
-            return original(samples, cfg, params, start_iteration)
+            return original(samples, cfg, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_obc=False))
