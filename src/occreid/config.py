@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .errors import InfeasibleGeometry
 from .evaluate import AGGREGATES
+from .fileio import write_atomic
 from .model import ArchSpec, ConvSpec, TrainConfig
 from .occsim import OcclusionConfig, check_patch_fits
 
@@ -264,4 +265,4 @@ def render_config(cfg: ExperimentConfig) -> str:
 
 def write_resolved(cfg: ExperimentConfig, out_dir) -> None:
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    (Path(out_dir) / "config.resolved.ini").write_text(render_config(cfg), encoding="utf-8")
+    write_atomic(Path(out_dir) / "config.resolved.ini", render_config(cfg).encode("utf-8"))

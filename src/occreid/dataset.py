@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     InsufficientShots,
     MissingBranch,
-    OccReidError,
     TooFewIdentities,
     UnparsableIdentity,
 )
@@ -91,12 +90,8 @@ def scan_dataset(root) -> list[PersonSample]:
             for f in sorted(ident_dir.iterdir()):
                 if f.suffix not in _EXTENSIONS or f.name.endswith(".mask.pgm"):
                     continue
-                try:
-                    img = load_image(f)
-                except OccReidError as e:
-                    raise type(e)(f"{f}: {e}") from e
                 rel = f.relative_to(root).as_posix()
-                samples.append(PersonSample(rel, img, identity, flag))
+                samples.append(PersonSample(rel, load_image(f), identity, flag))
     samples.sort(key=lambda s: s.id)
     return samples
 
@@ -144,7 +139,7 @@ def make_probe_gallery(samples, shots: int, rng: SplitMix64) -> ProbeGallery:
     return ProbeGallery(probes, gallery, shots)
 
 
-_SKIN = np.array([205, 168, 142], dtype=np.float64)
+_SKIN = np.array([205, 168, 142])
 
 
 def _fill(canvas: np.ndarray, x0: int, y0: int, x1: int, y1: int, color) -> None:
@@ -168,8 +163,10 @@ def _saturated_color(geo: SplitMix64, exclude: int = -1) -> tuple:
 
 
 def _render_person(width, height, torso_rgb, legs_rgb, geo: SplitMix64, noise) -> Image:
+    # every painted value is an integer in [0, 255], so the canvas is uint8
+    # from the start; the draws stay int64 to keep the PCG64 stream
     gray = noise.integers(110, 145, size=(height, width, 1), endpoint=True)
-    canvas = np.repeat(gray, 3, axis=2).astype(np.float64)
+    canvas = np.repeat(gray.astype(np.uint8), 3, axis=2)
 
     # Clutter in the top band is saturated like clothing; half the pieces
     # carry a coarse block texture, half are flat like garments. Occluders
@@ -182,16 +179,15 @@ def _render_person(width, height, torso_rgb, legs_rgb, geo: SplitMix64, noise) -
         ch = geo.randint(max(1, band_h // 3), band_h)
         cx = geo.randint(0, max(0, width - cw))
         cy = geo.randint(0, max(0, band_h - ch))
-        tint = np.array(_saturated_color(geo)[1], dtype=np.float64)
+        tint = np.array(_saturated_color(geo)[1], dtype=np.uint8)
         if geo.randint(0, 1) == 0:
             canvas[cy : cy + ch, cx : cx + cw] = tint
         else:
             cell = geo.randint(3, 4)
             grid = noise.integers(0, 1, size=(ch // cell + 1, cw // cell + 1), endpoint=True)
-            mask = np.kron(grid, np.ones((cell, cell)))[:ch, :cw]
-            canvas[cy : cy + ch, cx : cx + cw] = np.where(
-                mask[:, :, None] > 0, tint, tint * 0.15
-            )
+            mask = grid.repeat(cell, 0).repeat(cell, 1)[:ch, :cw]
+            dark = (tint * 0.15).astype(np.uint8)  # truncates, as the uint8 cast always did
+            canvas[cy : cy + ch, cx : cx + cw] = np.where(mask[:, :, None] > 0, tint, dark)
 
     dx = geo.randint(-2, 2)
     dy = geo.randint(-1, 1)
@@ -214,7 +210,7 @@ def _render_person(width, height, torso_rgb, legs_rgb, geo: SplitMix64, noise) -
     _fill(canvas, cx - gap // 2 - leg_w, torso_bot, cx - gap // 2, legs_bot, legs_rgb)
     _fill(canvas, cx + (gap + 1) // 2, torso_bot, cx + (gap + 1) // 2 + leg_w, legs_bot, legs_rgb)
 
-    return Image(np.clip(canvas, 0, 255).astype(np.uint8))
+    return Image(canvas)
 
 
 def generate_synthetic_dataset(

@@ -1,7 +1,9 @@
 """Retrieval evaluation.
 
 Probes are matched against the gallery by L2 distance between trunk
-features, computed for all probe/gallery pairs as one array. An
+features, computed for all probe/gallery pairs as one array; the
+probe-to-full-body distances do not depend on the gallery draw, so a
+multi-trial run computes them once and every trial gathers its rows. An
 identity's score under the multi-shot protocol is the minimum distance
 over its N gallery images (or, optionally, the mean); a probe's rank is
 the number of identities scoring below its true one, plus those tying
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import make_probe_gallery
+from .dataset import Occlusion, make_probe_gallery
 from .errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
 from .rng import SplitMix64, derive_seed
 
@@ -51,6 +53,40 @@ class EvalReport:
         return cls(shots, trials, cmc, r1, r5, r10, tuple(seeds), tuple(draws), tuple(probe_ids))
 
 
+def _distances(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(G, P) L2 distances between the rows of g and p, from broadcast
+    differences; the expansion |a|^2 + |b|^2 - 2ab would round exact ties
+    apart. A NaN or inf distance (non-finite features) is an error, since
+    NaN compares false and would rank first."""
+    out = np.empty((len(g), len(p)))
+    step = max(1, 2**18 // max(1, p.size))  # keeps each (step, P, D) temporary near 2 MB
+    for c in range(0, len(g), step):
+        out[c : c + step] = np.sqrt(((g[c : c + step, None] - p[None]) ** 2).sum(-1))
+    if not np.isfinite(out).all():
+        raise NonFiniteFeature("probe-to-gallery distance is NaN or inf; features are not finite")
+    return out
+
+
+def _cmc(dist: np.ndarray, rows: np.ndarray, true_col: np.ndarray, aggregate: str) -> np.ndarray:
+    """CMC of one gallery draw over a (G, P) distance matrix.
+
+    rows[n, i] is the dist row of identity i's n-th gallery image;
+    true_col[p] is probe p's identity index.
+    """
+    if aggregate not in AGGREGATES:
+        raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
+    # shot-major (N, I, P): reducing the leading axis adds the N distances
+    # in gallery order, as a sequential sum does; numpy sums a last axis of
+    # 8 or more terms pairwise, which rounds the mean differently
+    shot = dist[rows]
+    scores = shot.min(0) if aggregate == "min" else shot.mean(0)
+    n_ids, n_probes = scores.shape
+    true_score = scores[true_col, np.arange(n_probes)]
+    lower_label = np.arange(n_ids)[:, None] < true_col
+    rank = (scores < true_score).sum(0) + ((scores == true_score) & lower_label).sum(0)
+    return np.cumsum(np.bincount(rank, minlength=n_ids)) / n_probes
+
+
 def cmc_curve(probes, gallery: dict, aggregate: str = "min") -> EvalReport:
     """Single-trial CMC over (feature, identity) probes against a gallery
     mapping each identity to an equal number of features.
@@ -58,8 +94,6 @@ def cmc_curve(probes, gallery: dict, aggregate: str = "min") -> EvalReport:
     cmc[r] is the fraction of probes whose true identity sits at rank
     <= r + 1; the last entry is always 1 because every identity is ranked.
     """
-    if aggregate not in AGGREGATES:
-        raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
     if not probes:
         raise ValueError("no probes")
     labels = sorted(gallery)
@@ -81,54 +115,59 @@ def cmc_curve(probes, gallery: dict, aggregate: str = "min") -> EvalReport:
     if len(shapes) > 1:
         raise LengthMismatch(f"feature lengths differ: {sorted(shapes)}")
 
-    # shot-major (N, I, D): reducing the leading axis adds the N distances
-    # in gallery order, as a sequential sum does; numpy sums a last axis of
-    # 8 or more terms pairwise, which rounds the mean differently
-    g = np.asarray([gallery[ident] for ident in labels], dtype=np.float64).transpose(1, 0, 2)
+    g = np.asarray([gallery[ident] for ident in labels], dtype=np.float64)
     p = np.asarray([f for f, _ in probes], dtype=np.float64)
-    scores = np.empty((len(p), len(labels)))
-    step = max(1, 2**18 // g.size)  # keeps each (N, step, I, D) temporary near 2 MB
-    for c in range(0, len(p), step):
-        dist = np.sqrt(((p[None, c : c + step, None] - g[:, None]) ** 2).sum(-1))
-        scores[c : c + step] = dist.min(0) if aggregate == "min" else dist.mean(0)
-    if not np.isfinite(scores).all():  # NaN would compare false and rank first
-        raise NonFiniteFeature("probe-to-gallery distance is NaN or inf; features are not finite")
-
+    dist = _distances(g.reshape(-1, g.shape[-1]), p)
+    rows = np.arange(g.shape[0] * shots).reshape(-1, shots).T  # identity i's n-th image
     true_col = np.array([column[ident] for _, ident in probes])
-    true_score = scores[np.arange(len(p)), true_col][:, None]
-    lower_label = np.arange(len(labels)) < true_col[:, None]
-    rank = (scores < true_score).sum(1) + ((scores == true_score) & lower_label).sum(1)
-    cmc = np.cumsum(np.bincount(rank, minlength=len(labels))) / len(p)
-    return EvalReport.from_curve(cmc, shots, 1)
+    return EvalReport.from_curve(_cmc(dist, rows, true_col, aggregate), shots, 1)
 
 
 def evaluate(
     features,
     samples,
-    shots: int,
+    shots,
     trials: int = 10,
     seed: int = 0,
     aggregate: str = "min",
-) -> EvalReport:
-    """Multi-trial protocol: trial t redraws the gallery with a generator
-    seeded by derive_seed(seed, t) and the curves are averaged pointwise.
+) -> dict:
+    """Multi-trial protocol, one EvalReport per shot count in `shots`.
 
-    `features` is the (S, D) feature matrix row-aligned with `samples`,
-    shared across trials.
+    Shot count n's trial t redraws the gallery with a generator seeded by
+    derive_seed(derive_seed(seed, n), t); the curves are averaged
+    pointwise. `features` is the (S, D) feature matrix row-aligned with
+    `samples`. The probe-to-full-body distances do not depend on the draw,
+    so they are computed once and every trial gathers its gallery rows.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     samples = list(samples)
     if len(features) != len(samples):
         raise ValueError(f"{len(features)} feature rows for {len(samples)} samples")
-    row = {s.id: i for i, s in enumerate(samples)}
-    curves, seeds, draws = [], [], []
-    for t in range(trials):
-        seeds.append(derive_seed(seed, t))
-        pg = make_probe_gallery(samples, shots, SplitMix64(seeds[-1]))
-        gallery = {ident: [features[row[s.id]] for s in m] for ident, m in pg.gallery.items()}
-        probes = [(features[row[s.id]], s.identity) for s in pg.probes]
-        curves.append(cmc_curve(probes, gallery, aggregate).cmc)
-        draws.append(tuple((ident, tuple(s.id for s in m)) for ident, m in pg.gallery.items()))
-    probe_ids = [s.id for s in pg.probes]
-    return EvalReport.from_curve(np.mean(curves, axis=0), shots, trials, seeds, draws, probe_ids)
+    seeds = {n: [derive_seed(derive_seed(seed, n), t) for t in range(trials)] for n in shots}
+    draws = {n: [make_probe_gallery(samples, n, SplitMix64(s)) for s in seeds[n]] for n in shots}
+    if not draws:
+        return {}
+    first = next(iter(draws.values()))[0]  # every draw shares the probes and labels
+    if not first.probes:
+        raise ValueError("no probes")
+    labels = sorted(first.gallery)
+    true_col = np.searchsorted(labels, [s.identity for s in first.probes])
+    feats = np.asarray(features, dtype=np.float64)
+    feature_row = {s.id: i for i, s in enumerate(samples)}
+    full = [i for i, s in enumerate(samples) if s.occlusion is Occlusion.FULL_BODY]
+    gallery_row = {samples[i].id: j for j, i in enumerate(full)}
+    dist = _distances(feats[full], feats[[feature_row[s.id] for s in first.probes]])
+    probe_ids = [s.id for s in first.probes]
+    reports = {}
+    for n, pgs in draws.items():
+        curves = [
+            _cmc(dist, np.array([[gallery_row[s.id] for s in pg.gallery[i]] for i in labels]).T,
+                 true_col, aggregate)
+            for pg in pgs
+        ]
+        manifest = [tuple((i, tuple(s.id for s in pg.gallery[i])) for i in labels) for pg in pgs]
+        reports[n] = EvalReport.from_curve(
+            np.mean(curves, axis=0), n, trials, seeds[n], manifest, probe_ids
+        )
+    return reports

@@ -123,7 +123,7 @@ class Image:
         return f"Image({self.width}x{self.height}x{self.channels})"
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
     n = len(data)
     while pos < n:
         c = data[pos]
@@ -138,7 +138,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE:
         pos += 1
     if start == pos:
-        raise CorruptData("truncated header")
+        raise CorruptData(f"{path}: truncated header")
     return data[start:pos], pos
 
 
@@ -146,10 +146,11 @@ def load_image(path) -> Image:
     """Decode a binary PPM (P6, 3 channels) or PGM (P5, 1 channel) file.
 
     Raises FileNotFoundError, UnsupportedFormat for other magics or 16-bit
-    samples, CorruptData for malformed headers or short payloads.
+    samples, CorruptData for malformed headers or short payloads; every
+    message starts with the path.
     """
     data = Path(path).read_bytes()
-    magic, pos = _next_token(data, 0)
+    magic, pos = _next_token(data, 0, path)
     if magic == b"P6":
         channels = 3
     elif magic == b"P5":
@@ -158,7 +159,7 @@ def load_image(path) -> Image:
         raise UnsupportedFormat(f"{path}: unsupported magic {magic!r}, expected P5 or P6")
     fields = []
     for _ in range(3):
-        tok, pos = _next_token(data, pos)
+        tok, pos = _next_token(data, pos, path)
         try:
             fields.append(int(tok))
         except ValueError:

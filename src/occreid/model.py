@@ -28,11 +28,13 @@ from .errors import (
     ShapeMismatch,
     UnsupportedFormat,
 )
+from .fileio import write_atomic
 from .imaging import Image, resize
 from .rng import SplitMix64, derive_seed
 
 _MAGIC = b"OCREID01"
 FORWARD_CHUNK = 16  # images per forward outside training; bounds the activation memory
+MAX_SIDE = 256  # largest resize side; bounds the memory a config or checkpoint header can ask for
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,10 @@ class ArchSpec:
     convs: tuple = (ConvSpec(8, 3, 2), ConvSpec(16, 3, 2), ConvSpec(32, 3, 2))
 
     def __post_init__(self):
-        if self.input_side < 1 or self.resize_side < self.input_side:
+        if not 1 <= self.input_side <= self.resize_side <= MAX_SIDE:
             raise ValueError(
-                f"need 1 <= input_side <= resize_side, got {self.input_side}, {self.resize_side}"
+                f"need 1 <= input_side <= resize_side <= {MAX_SIDE}, "
+                f"got {self.input_side}, {self.resize_side}"
             )
         if self.in_channels not in (1, 3):
             raise ValueError(f"in_channels must be 1 or 3, got {self.in_channels}")
@@ -505,7 +508,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         parts.append(struct.pack("<3I", c.out_channels, c.kernel, c.stride))
     parts.append(struct.pack("<I", params.num_classes))
     parts += [arr.tobytes() for _, arr in _float32_tensors(params)]
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -537,7 +540,7 @@ def load_checkpoint(path) -> ModelParams:
         [("id.w", (num_classes, d)), ("id.b", (num_classes,)), ("obc.w", (2, d)), ("obc.b", (2,))]
     )
     for name, shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: a corrupt header must not wrap around
         if pos + 4 * count > len(data):
             raise CorruptData(f"{path}: truncated tensor {name}")
         narrow = np.frombuffer(data, dtype="<f4", count=count, offset=pos)

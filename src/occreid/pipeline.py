@@ -35,6 +35,7 @@ from .dataset import (
     split_identities,
 )
 from .evaluate import EvalReport, evaluate
+from .fileio import write_lines
 from .imaging import Image, load_image, save_image
 from .model import (
     ModelParams,
@@ -69,7 +70,6 @@ _REGIMES = (
 
 @dataclasses.dataclass
 class ExperimentData:
-    samples: list
     split: object
     train_full: list
     test_samples: list
@@ -107,7 +107,7 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
         probe_cfg = probe_occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_PROBE))
         probes, _ = build_occlusion_set(test_samples, probe_cfg)
         test_samples = test_samples + probes
-    return ExperimentData(samples, split, train_full, test_samples)
+    return ExperimentData(split, train_full, test_samples)
 
 
 def _seed_rows(cfg: ExperimentConfig) -> list:
@@ -133,7 +133,7 @@ def _write_provenance(cfg: ExperimentConfig, out_dir: Path) -> None:
     write_resolved(neutral, out_dir)
     lines = ["# stream\tseed"]
     lines += [f"{name}\t{value}" for name, value in _seed_rows(cfg)]
-    (out_dir / "seeds.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "seeds.tsv", lines)
 
 
 def _safe_name(sample_id: str) -> str:
@@ -161,7 +161,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
             f"{rec.source_id}\t{z.identity}\t{p.x}\t{p.y}\t{p.w}\t{p.h}"
             f"\t{t.x}\t{t.y}\t{t.w}\t{t.h}\t{rec.area_ratio!r}\t{derive_seed(occ_cfg.seed, i)}"
         )
-    (out_dir / "manifest.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "manifest.tsv", lines)
     mean_ratio = float(np.mean([r.area_ratio for r in records])) if records else 0.0
     return {"count": len(occluded), "mean_area_ratio": mean_ratio}
 
@@ -203,7 +203,7 @@ def run_train(cfg: ExperimentConfig, out_dir) -> Path:
     save_checkpoint(params, ckpt)
     lines = ["# iteration\ttotal\tid_loss\tobc_loss"]
     lines += [f"{it}\t{total!r}\t{lp!r}\t{lo!r}" for it, total, lp, lo in history]
-    (out_dir / "loss_history.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "loss_history.tsv", lines)
     return ckpt
 
 
@@ -216,19 +216,18 @@ def _write_report(report: EvalReport, path: Path) -> None:
     lines.append(f"# rank5\t{report.rank5!r}")
     lines.append(f"# rank10\t{report.rank10!r}")
     lines.append("# trial_seeds\t" + ",".join(str(s) for s in report.per_trial_seeds))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def evaluate_model(cfg: ExperimentConfig, params: ModelParams, data: ExperimentData) -> dict:
-    """One report per shot count; test features are extracted once."""
+    """One report per shot count; test features and their distances are
+    computed once."""
     samples = data.test_samples
     feats = extract_features(params, preprocess_images([s.image for s in samples], params.arch))
     ev = cfg.eval
-    eval_seed = derive_seed(cfg.run.seed, TAG_EVAL)
-    return {
-        n: evaluate(feats, samples, n, ev.trials, derive_seed(eval_seed, n), ev.aggregate)
-        for n in ev.shots
-    }
+    return evaluate(
+        feats, samples, ev.shots, ev.trials, derive_seed(cfg.run.seed, TAG_EVAL), ev.aggregate
+    )
 
 
 def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
@@ -236,7 +235,7 @@ def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
     for ident in sorted(data.split.train_identities | data.split.test_identities):
         role = "train" if ident in data.split.train_identities else "test"
         lines.append(f"{ident}\t{role}")
-    (out_dir / "split.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "split.tsv", lines)
 
 
 def _write_trial_manifest(report: EvalReport, path: Path) -> None:
@@ -245,7 +244,7 @@ def _write_trial_manifest(report: EvalReport, path: Path) -> None:
     for t, (trial_seed, draw) in enumerate(zip(report.per_trial_seeds, report.draws)):
         lines += [f"{t}\t{trial_seed}\t{ident}\t{','.join(ids)}" for ident, ids in draw]
     lines.append("# probes\t" + ",".join(report.probe_ids))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
@@ -263,7 +262,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
         summary.append(f"{n}\t{rep.rank1!r}\t{rep.rank5!r}\t{rep.rank10!r}")
         ranks = list(range(1, len(rep.cmc) + 1))
         series.append((f"N={n}", ranks, [r * 100 for r in rep.cmc]))
-    (out_dir / "summary.tsv").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    write_lines(out_dir / "summary.tsv", summary)
     line_plot(series, out_dir / "cmc.svg", "CMC", "rank", "match rate (%)")
     return reports
 
@@ -301,7 +300,7 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
                 (name, list(range(1, len(rep.cmc) + 1)), [r * 100 for r in rep.cmc])
             )
     _write_provenance(cfg, out_dir)
-    (out_dir / "ablation.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_lines(out_dir / "ablation.tsv", rows)
     for n, s in sorted(series.items()):
         line_plot(s, out_dir / f"ablation_cmc_n{n}.svg", f"CMC, N={n}", "rank", "match rate (%)")
     return results
@@ -327,7 +326,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
     for a in sorted(results):
         rows.append(f"{a!r}\t" + "\t".join(f"{results[a][n].rank1!r}" for n in shots))
-    (out_dir / "alpha_sweep.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_lines(out_dir / "alpha_sweep.tsv", rows)
     series = [
         (f"N={n}", sorted(results), [results[a][n].rank1 for a in sorted(results)]) for n in shots
     ]
@@ -372,12 +371,10 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
             rows = ["# sample_id\tprecision"]
             rows += [f"{samples[i].id}\t{prec!r}" for i, prec in zip(masks, precisions)]
             rows.append(f"# per_image_mean\t{mean!r}")
-            (out_dir / f"precision_{label}.tsv").write_text(
-                "\n".join(rows) + "\n", encoding="utf-8"
-            )
+            write_lines(out_dir / f"precision_{label}.tsv", rows)
         summary[label] = {"maps": len(maps), "mean_precision": mean}
     if compare is not None and all(v["mean_precision"] is not None for v in summary.values()):
         lines = ["# model\tmean_precision"]
         lines += [f"{k}\t{v['mean_precision']!r}" for k, v in summary.items()]
-        (out_dir / "precision_comparison.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(out_dir / "precision_comparison.tsv", lines)
     return summary

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+from .fileio import write_lines
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fbf", "#c98a1e", "#4aa3a3")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 28, 44
@@ -84,4 +84,4 @@ def line_plot(
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 23}" y="{ly}">{label}</text>')
     out.append("</svg>")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    write_lines(path, out)

@@ -1,3 +1,10 @@
+import contextlib
+import io
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -438,6 +445,7 @@ class TestExitCodes:
             pytest.param("train", {"kernel": "2"}, id="kernel = 2"),
             pytest.param("train", {"conv_channels": ""}, id="conv_channels ="),
             pytest.param("train", {"input_side": "40"}, id="input_side = 40"),
+            pytest.param("train", {"resize_side": "300"}, id="resize_side = 300"),
             pytest.param("train", {"max_jitter": "5"}, id="max_jitter = 5"),
             pytest.param("dataset", {"identities": "1"}, id="identities = 1"),
             pytest.param("dataset", {"split_fraction": "1.5"}, id="split_fraction = 1.5"),
@@ -579,3 +587,111 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config_path), "--out", str(flag_out)]) == 0
         assert (flag_out / "simulate" / "manifest.tsv").exists()
         assert not (tmp_path / "env_out").exists()
+
+
+def _corruptions(valid: bytes, header: list, field):
+    """Truncations of `valid`, one header token replaced, and random tails.
+
+    `header` lists the (start, end) byte spans of the header tokens;
+    `field` draws a replacement for a token."""
+    truncated = st.integers(0, len(valid) - 1).map(lambda k: valid[:k])
+
+    def flip(args):
+        (start, end), token = args
+        return valid[:start] + token + valid[end:]
+
+    flipped = st.tuples(st.sampled_from(header), field).map(flip)
+    tailed = st.tuples(st.integers(0, len(valid)), st.binary(max_size=64)).map(
+        lambda a: valid[: a[0]] + a[1]
+    )
+    return st.one_of(truncated, flipped, tailed)
+
+
+def _run_contained(argv):
+    """Exit code and stderr of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _ppm_header_spans(data: bytes) -> list:
+    return [m.span() for m in re.finditer(rb"\S+", data[: data.index(b"255\n") + 3])]
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(b"P5 P6 P3 0 -1 1 255 256 65535 1e3 #".split()),
+    st.integers(0, 2**24).map(lambda v: str(v).encode()),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+def _scanned_ini(root, path):
+    path.write_text(TINY_CONFIG.replace("[dataset]", f"[dataset]\nroot = {root}"), "utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """A tiny scanned dataset, a valid checkpoint for it and both configs."""
+    from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+
+    base = tmp_path_factory.mktemp("contract")
+    root = base / "data"
+    for s in generate_synthetic_dataset(4, 3, 16, 24, SplitMix64(8)):
+        for branch in ("whole", "occluded"):
+            p = root / branch / f"{s.identity:03d}"
+            p.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, p / f"{s.id}.ppm")
+    scanned = _scanned_ini(root, base / "scanned.ini")
+    synthetic = base / "synthetic.ini"
+    synthetic.write_text(TINY_CONFIG, encoding="utf-8")
+    ckpt = base / "c.bin"
+    arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+    save_checkpoint(init_params(arch, 2, 0), ckpt)
+    return {"root": root, "scanned": scanned, "synthetic": synthetic, "ckpt": ckpt}
+
+
+class TestCorruptInputContract:
+    """Corrupted image or checkpoint bytes end in a documented exit code,
+    never in a traceback. The config is valid, so only 0 (the damage left
+    a usable file), 2 (data error) or 3 (numeric failure) are correct; 1
+    would report the data fault as a config error."""
+
+    _VALID_PPM = b"P6\n16 24\n255\n" + bytes(range(256)) * 4 + bytes(16 * 24 * 3 - 1024)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=_corruptions(_VALID_PPM, _ppm_header_spans(_VALID_PPM), _TOKENS),
+           command=st.sampled_from(["eval", "simulate"]))
+    def test_corrupted_ppm(self, contract_inputs, data, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(shutil.copytree(contract_inputs["root"], f"{tmp}/data"))
+            sorted(root.glob("whole/001/*.ppm"))[0].write_bytes(data)
+            cfg = _scanned_ini(root, Path(tmp) / "cfg.ini")
+            argv = [command, "--config", str(cfg), "--out", f"{tmp}/out"]
+            if command == "eval":
+                argv += ["--checkpoint", str(contract_inputs["ckpt"])]
+            code, err = _run_contained(argv)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_corrupted_checkpoint(self, contract_inputs, data):
+        valid = contract_inputs["ckpt"].read_bytes()
+        # magic, four geometry fields, one conv's three fields, the class count
+        spans = [(0, 8)] + [(8 + 4 * i, 12 + 4 * i) for i in range(8)]
+        field = st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda v: v.to_bytes(4, "little")),
+            st.binary(min_size=4, max_size=4),
+        )
+        corrupt = data.draw(_corruptions(valid, spans, field))
+        cfg = contract_inputs[data.draw(st.sampled_from(["synthetic", "scanned"]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "c.bin"
+            ckpt.write_bytes(corrupt)
+            argv = ["--config", str(cfg), "--out", f"{tmp}/out", "--checkpoint", str(ckpt)]
+            for command in ("eval", "saliency"):
+                code, err = _run_contained([command, *argv])
+                assert code in (0, 2, 3), err
+                assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from occreid import dataset
 from occreid.dataset import (
     Occlusion,
     generate_synthetic_dataset,
@@ -11,6 +12,7 @@ from occreid.dataset import (
 from occreid.errors import (
     InsufficientShots,
     MissingBranch,
+    OccReidError,
     TooFewIdentities,
     UnparsableIdentity,
 )
@@ -59,6 +61,16 @@ class TestScan:
         (tmp_path / "whole" / "personA").mkdir()
         with pytest.raises(UnparsableIdentity):
             scan_dataset(tmp_path)
+
+    @pytest.mark.parametrize("data", [b"P6", b"P7\n8 12\n255\n", b"P6\n8 12\n255\n\0"])
+    def test_bad_file_named_once(self, tmp_path, data):
+        write_tree(tmp_path, ["001"], occluded=1, whole=1)
+        bad = tmp_path / "whole" / "001" / "img0.ppm"
+        bad.write_bytes(data)
+        with pytest.raises(OccReidError) as info:
+            scan_dataset(tmp_path)
+        assert str(info.value).count("img0.ppm") == 1
+        assert str(info.value).startswith(str(bad))
 
     def test_stable_ordering_and_rescan(self, tmp_path):
         write_tree(tmp_path, ["002", "001"], occluded=2, whole=2)
@@ -202,7 +214,66 @@ class TestProbeGallery:
             assert make_probe_gallery(mixed, 2, SplitMix64(seed)).gallery == want
 
 
+def float_render_person(width, height, torso_rgb, legs_rgb, geo, noise):
+    """Reference renderer: the float64 canvas, np.kron texture and final
+    clip that the uint8 renderer replaced, kept to pin its pixels."""
+    gray = noise.integers(110, 145, size=(height, width, 1), endpoint=True)
+    canvas = np.repeat(gray, 3, axis=2).astype(np.float64)
+    band_h = max(1, int(np.floor(0.25 * height + 0.5)))
+    for _ in range(geo.randint(3, 6)):
+        cw = geo.randint(max(2, width // 6), max(3, width // 2))
+        ch = geo.randint(max(1, band_h // 3), band_h)
+        cx = geo.randint(0, max(0, width - cw))
+        cy = geo.randint(0, max(0, band_h - ch))
+        tint = np.array(dataset._saturated_color(geo)[1], dtype=np.float64)
+        if geo.randint(0, 1) == 0:
+            canvas[cy : cy + ch, cx : cx + cw] = tint
+        else:
+            cell = geo.randint(3, 4)
+            grid = noise.integers(0, 1, size=(ch // cell + 1, cw // cell + 1), endpoint=True)
+            mask = np.kron(grid, np.ones((cell, cell)))[:ch, :cw]
+            canvas[cy : cy + ch, cx : cx + cw] = np.where(
+                mask[:, :, None] > 0, tint, tint * 0.15
+            )
+
+    dx = geo.randint(-2, 2)
+    dy = geo.randint(-1, 1)
+    cx = width // 2 + dx
+    skin = np.array([205, 168, 142], dtype=np.float64)
+    fill = dataset._fill
+
+    head_h = max(2, height // 9)
+    head_w = max(2, width // 5)
+    head_top = band_h + max(1, height // 32) + dy
+    fill(canvas, cx - head_w // 2, head_top, cx + (head_w + 1) // 2,
+         head_top + head_h, skin + geo.randint(-10, 10))
+
+    torso_top = head_top + head_h
+    torso_bot = int(0.62 * height) + dy
+    torso_hw = max(2, int(0.34 * width)) + geo.randint(-1, 1)
+    fill(canvas, cx - torso_hw, torso_top, cx + torso_hw, torso_bot, torso_rgb)
+
+    legs_bot = int(0.95 * height) + dy
+    leg_w = max(1, int(0.15 * width))
+    gap = max(1, width // 16)
+    fill(canvas, cx - gap // 2 - leg_w, torso_bot, cx - gap // 2, legs_bot, legs_rgb)
+    fill(canvas, cx + (gap + 1) // 2, torso_bot, cx + (gap + 1) // 2 + leg_w, legs_bot, legs_rgb)
+
+    return Image(np.clip(canvas, 0, 255).astype(np.uint8))
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("size", [(8, 16), (16, 24), (32, 64), (48, 96)])
+    def test_uint8_renderer_matches_float_reference(self, size, monkeypatch):
+        for seed in range(4):
+            got = generate_synthetic_dataset(5, 4, *size, SplitMix64(seed))
+            with monkeypatch.context() as m:
+                m.setattr(dataset, "_render_person", float_render_person)
+                want = generate_synthetic_dataset(5, 4, *size, SplitMix64(seed))
+            assert [s.id for s in got] == [s.id for s in want]
+            for a, b in zip(got, want):
+                assert a.image.pixels.tobytes() == b.image.pixels.tobytes(), (size, seed, a.id)
+
     def test_cardinality_and_flags(self):
         samples = generate_synthetic_dataset(10, 10, 16, 32, SplitMix64(3))
         assert len(samples) == 100

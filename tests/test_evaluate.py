@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occreid.dataset import generate_synthetic_dataset
+from occreid.dataset import Occlusion, generate_synthetic_dataset
 from occreid.errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
 from occreid.evaluate import cmc_curve, evaluate
 from occreid.model import ArchSpec, ConvSpec, extract_features, init_params, preprocess_image
@@ -34,6 +34,29 @@ def brute_force_cmc(probes, gallery, shots=None):
         acc += h
         out.append(acc / len(probes))
     return out
+
+
+def sequential_cmc(probes, gallery, aggregate):
+    """Plain-loop reference for both aggregates: an identity's distances
+    are combined in gallery order, the mean as a running sum; ties go to
+    the lower label."""
+    idents = sorted(gallery)
+    hits = [0] * len(idents)
+    for feat, true_ident in probes:
+        scored = []
+        for ident in idents:
+            dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(feat, g))) for g in gallery[ident]]
+            if aggregate == "min":
+                score = min(dists)
+            else:
+                score = 0.0
+                for d in dists:
+                    score += d
+                score /= len(dists)
+            scored.append((score, ident))
+        scored.sort()
+        hits[[ident for _, ident in scored].index(true_ident)] += 1
+    return [sum(hits[: r + 1]) / len(probes) for r in range(len(idents))]
 
 
 class TestCmcCurve:
@@ -208,15 +231,15 @@ def setup():
 class TestEvaluate:
     def test_single_trial_equals_cmc_curve_path(self, setup):
         feats, samples = setup
-        a = evaluate(feats, samples, 2, trials=1, seed=42)
-        b = evaluate(feats, samples, 2, trials=1, seed=42)
+        a = evaluate(feats, samples, (2,), trials=1, seed=42)[2]
+        b = evaluate(feats, samples, (2,), trials=1, seed=42)[2]
         assert a == b
         assert a.trials == 1 and a.shots == 2
         assert len(a.per_trial_seeds) == 1
 
     def test_default_shape_and_seed_recording(self, setup):
         feats, samples = setup
-        report = evaluate(feats, samples, 1, trials=10, seed=3)
+        report = evaluate(feats, samples, (1,), trials=10, seed=3)[1]
         assert report.trials == 10
         assert len(report.per_trial_seeds) == 10
         assert len(set(report.per_trial_seeds)) == 10
@@ -225,13 +248,13 @@ class TestEvaluate:
     def test_average_remains_nondecreasing(self, setup):
         feats, samples = setup
         for seed in range(5):
-            rep = evaluate(feats, samples, 1, trials=4, seed=seed)
+            rep = evaluate(feats, samples, (1,), trials=4, seed=seed)[1]
             assert all(a <= b + 1e-12 for a, b in zip(rep.cmc, rep.cmc[1:]))
             assert rep.cmc[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_fields_consistent_with_curve(self, setup):
         feats, samples = setup
-        rep = evaluate(feats, samples, 2, trials=3, seed=8)
+        rep = evaluate(feats, samples, (2,), trials=3, seed=8)[2]
         assert rep.rank1 == pytest.approx(rep.cmc[0] * 100)
         # only 4 identities: rank5/rank10 clamp to the final rank
         assert rep.rank5 == pytest.approx(rep.cmc[-1] * 100)
@@ -239,7 +262,8 @@ class TestEvaluate:
 
     def test_averaged_curve_is_pointwise_mean_of_trials(self, setup):
         # replay each trial by hand: trial t draws its gallery with a
-        # generator seeded derive_seed(seed, t), features are shared
+        # generator seeded derive_seed(derive_seed(seed, shots), t),
+        # features are shared
         from occreid.dataset import make_probe_gallery
         from occreid.rng import SplitMix64, derive_seed
 
@@ -247,11 +271,11 @@ class TestEvaluate:
         feat_of = {s.id: feats[i] for i, s in enumerate(samples)}
         curves = []
         for t in range(3):
-            pg = make_probe_gallery(samples, 1, SplitMix64(derive_seed(77, t)))
+            pg = make_probe_gallery(samples, 1, SplitMix64(derive_seed(derive_seed(77, 1), t)))
             gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
             probes = [(feat_of[s.id], s.identity) for s in pg.probes]
             curves.append(cmc_curve(probes, gallery).cmc)
-        avg = evaluate(feats, samples, 1, trials=3, seed=77)
+        avg = evaluate(feats, samples, (1,), trials=3, seed=77)[1]
         assert np.allclose(avg.cmc, np.mean(curves, axis=0), atol=1e-15)
 
     def test_draws_record_each_trial_gallery(self, setup):
@@ -259,14 +283,68 @@ class TestEvaluate:
         from occreid.rng import SplitMix64, derive_seed
 
         feats, samples = setup
-        rep = evaluate(feats, samples, 2, trials=3, seed=5)
+        rep = evaluate(feats, samples, (2,), trials=3, seed=5)[2]
         assert len(rep.draws) == 3
         for t, draw in enumerate(rep.draws):
-            pg = make_probe_gallery(samples, 2, SplitMix64(derive_seed(5, t)))
+            pg = make_probe_gallery(samples, 2, SplitMix64(derive_seed(derive_seed(5, 2), t)))
             assert draw == tuple((i, tuple(s.id for s in m)) for i, m in sorted(pg.gallery.items()))
             assert rep.probe_ids == tuple(s.id for s in pg.probes)
+
+    @pytest.mark.parametrize("aggregate", ["min", "mean"])
+    def test_equals_per_trial_replay(self, aggregate):
+        # small-integer features tie often, so the order in which an
+        # identity's 9 distances are added decides some ranks: a mean that
+        # summed the shot axis pairwise would not match the loop reference;
+        # 2-d features sum in plain order, so that reference is exact
+        from occreid.dataset import make_probe_gallery
+        from occreid.rng import derive_seed
+
+        samples = generate_synthetic_dataset(6, 10, 16, 24, SplitMix64(4))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=2))
+        samples = combine(samples, z)
+        shots = (1, 2, 5, 9)
+        for feature_seed in range(4):
+            gen = np.random.Generator(np.random.PCG64(feature_seed))
+            feats = gen.integers(0, 3, (len(samples), 2)).astype(np.float64)
+            feat_of = {s.id: feats[i] for i, s in enumerate(samples)}
+            reports = evaluate(feats, samples, shots, trials=3, seed=11, aggregate=aggregate)
+            assert list(reports) == list(shots)
+            for n in shots:
+                curves = []
+                for t in range(3):
+                    rng = SplitMix64(derive_seed(derive_seed(11, n), t))
+                    pg = make_probe_gallery(samples, n, rng)
+                    gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
+                    probes = [(feat_of[s.id], s.identity) for s in pg.probes]
+                    curves.append(cmc_curve(probes, gallery, aggregate).cmc)
+                    assert list(curves[-1]) == sequential_cmc(probes, gallery, aggregate)
+                want = tuple(float(v) for v in np.mean(curves, axis=0))
+                assert reports[n].cmc == want, (feature_seed, n)
+
+    def test_one_distance_matrix_for_all_shots_and_trials(self, setup, monkeypatch):
+        import importlib
+
+        evaluate_module = importlib.import_module("occreid.evaluate")  # not the function
+        feats, samples = setup
+        calls = []
+        real = evaluate_module._distances
+        monkeypatch.setattr(
+            evaluate_module, "_distances", lambda g, p: calls.append(g.shape) or real(g, p)
+        )
+        reports = evaluate(feats, samples, (1, 2, 3), trials=4, seed=0)
+        assert sorted(reports) == [1, 2, 3]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("role", [Occlusion.ARTIFICIAL, Occlusion.FULL_BODY])
+    def test_non_finite_feature_row_rejected(self, setup, role):
+        # a full-body row counts even when no trial draws it into the gallery
+        feats, samples = setup
+        bad = feats.copy()
+        bad[next(i for i, s in enumerate(samples) if s.occlusion is role), 0] = np.nan
+        with pytest.raises(NonFiniteFeature):
+            evaluate(bad, samples, (1,), trials=1)
 
     def test_feature_rows_must_match_samples(self, setup):
         feats, samples = setup
         with pytest.raises(ValueError, match="feature rows"):
-            evaluate(feats[1:], samples, 1, trials=1)
+            evaluate(feats[1:], samples, (1,), trials=1)

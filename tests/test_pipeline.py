@@ -275,9 +275,9 @@ class TestArrayPathMatchesImageReference:
         prepped = [preprocess_image(s.image, arch) for s in data.test_samples]
 
         feats = extract_features(params, prepped)
-        seed = derive_seed(derive_seed(cfg.run.seed, TAG_EVAL), 1)
-        want = evaluate(feats, data.test_samples, 1, cfg.eval.trials, seed, cfg.eval.aggregate)
-        assert evaluate_model(cfg, params, data)[1] == want
+        seed = derive_seed(cfg.run.seed, TAG_EVAL)
+        want = evaluate(feats, data.test_samples, (1,), cfg.eval.trials, seed, cfg.eval.aggregate)
+        assert evaluate_model(cfg, params, data)[1] == want[1]
 
         run_saliency(cfg, ckpt, tmp_path / "out")
         rows = (tmp_path / "out" / "precision_model.tsv").read_text().splitlines()
