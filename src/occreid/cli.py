@@ -38,17 +38,19 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="occreid", description=__doc__)
+    parser.set_defaults(no_os=False, no_obc=False)  # only train takes the ablation switches
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", type=Path, help="INI experiment config")
         p.add_argument("--seed", type=int, help="override run seed")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--no-os", action="store_true", help="disable the occlusion simulator")
-        p.add_argument("--no-obc", action="store_true", help="disable the occlusion loss (alpha=1)")
 
     common(sub.add_parser("simulate", help="write the artificial occlusion set"))
-    common(sub.add_parser("train", help="train and write a checkpoint"))
+    p_train = sub.add_parser("train", help="train and write a checkpoint")
+    common(p_train)
+    p_train.add_argument("--no-os", action="store_true", help="disable the occlusion simulator")
+    p_train.add_argument("--no-obc", action="store_true", help="disable the occlusion loss (alpha=1)")
     p_eval = sub.add_parser("eval", help="CMC evaluation of a checkpoint")
     common(p_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)

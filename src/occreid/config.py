@@ -130,7 +130,7 @@ def _parse_value(raw: str, template):
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI file into an ExperimentConfig, validating every key."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: a '%' is a '%'
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
@@ -167,6 +167,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             "[dataset] identities and per_identity: synthetic data needs 2 or more of each, "
             f"got {ds.identities} and {ds.per_identity}"
         )
+    if not ds.root and ds.image_width < 3:
+        raise ValueError(f"[dataset] image_width: synthetic images need 3 or more, got {ds.image_width}")
     if ev.aggregate not in AGGREGATES:
         raise ValueError(f"[eval] aggregate: {ev.aggregate!r} is not one of {AGGREGATES}")
     if min(ev.shots) < 1:

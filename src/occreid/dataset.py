@@ -111,32 +111,43 @@ def split_identities(samples, fraction: float, rng: SplitMix64) -> Split:
     return Split(train, frozenset(identities) - train)
 
 
-def make_probe_gallery(samples, shots: int, rng: SplitMix64) -> ProbeGallery:
-    """Gallery of `shots` full-body images per identity, probes from the
-    occluded side.
+def gallery_pool(samples) -> tuple[dict, list]:
+    """Sample indices every gallery draw over `samples` starts from: each
+    identity's full-body images, identities ascending, and the probes, the
+    real occlusions when the set has any, otherwise the artificial ones."""
+    fulls = {ident: [] for ident in sorted({s.identity for s in samples})}
+    occluded = {Occlusion.REAL: [], Occlusion.ARTIFICIAL: []}
+    for i, s in enumerate(samples):
+        if s.occlusion is Occlusion.FULL_BODY:
+            fulls[s.identity].append(i)
+        else:
+            occluded[s.occlusion].append(i)
+    return fulls, occluded[Occlusion.REAL] or occluded[Occlusion.ARTIFICIAL]
 
-    Probes are the real-occlusion samples when the set has any, otherwise
-    the artificially occluded ones; all of them are used. Gallery images
-    are drawn without replacement per identity, in ascending identity
-    order, so the draw sequence is reproducible.
-    """
+
+def draw_gallery(fulls: dict, shots: int, rng: SplitMix64) -> dict:
+    """`shots` of each identity's full-body indices from gallery_pool,
+    drawn without replacement in ascending identity order, so the draw
+    sequence is reproducible."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    fulls = {ident: [] for ident in sorted({s.identity for s in samples})}
-    for s in samples:
-        if s.occlusion is Occlusion.FULL_BODY:
-            fulls[s.identity].append(s)
-    has_real = any(s.occlusion is Occlusion.REAL for s in samples)
-    probe_kind = Occlusion.REAL if has_real else Occlusion.ARTIFICIAL
     gallery = {}
     for ident, members in fulls.items():
         if len(members) < shots:
             raise InsufficientShots(
                 f"identity {ident} has {len(members)} full-body images, need {shots}"
             )
-        gallery[ident] = tuple(rng.sample(members, shots))
-    probes = tuple(s for s in samples if s.occlusion is probe_kind)
-    return ProbeGallery(probes, gallery, shots)
+        gallery[ident] = rng.sample(members, shots)
+    return gallery
+
+
+def make_probe_gallery(samples, shots: int, rng: SplitMix64) -> ProbeGallery:
+    """One draw_gallery over the gallery_pool of `samples`, as samples:
+    `shots` full-body images per identity, and every probe."""
+    fulls, probes = gallery_pool(samples)
+    drawn = draw_gallery(fulls, shots, rng)
+    gallery = {ident: tuple(samples[i] for i in idx) for ident, idx in drawn.items()}
+    return ProbeGallery(tuple(samples[i] for i in probes), gallery, shots)
 
 
 _SKIN = np.array([205, 168, 142])
@@ -229,6 +240,8 @@ def generate_synthetic_dataset(
     """
     if num_identities < 2 or per_identity < 2:
         raise ValueError("need at least 2 identities with 2 images each")
+    if width < 3:  # a clutter piece can be 3 pixels wide
+        raise ValueError(f"synthetic images need a width of 3 or more, got {width}")
     rng = rng or SplitMix64(0)
     samples = []
     for i in range(num_identities):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Occlusion, make_probe_gallery
+from .dataset import draw_gallery, gallery_pool
 from .errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
 from .rng import SplitMix64, derive_seed
 
@@ -144,29 +144,24 @@ def evaluate(
     samples = list(samples)
     if len(features) != len(samples):
         raise ValueError(f"{len(features)} feature rows for {len(samples)} samples")
+    fulls, probes = gallery_pool(samples)
     seeds = {n: [derive_seed(derive_seed(seed, n), t) for t in range(trials)] for n in shots}
-    draws = {n: [make_probe_gallery(samples, n, SplitMix64(s)) for s in seeds[n]] for n in shots}
+    draws = {n: [draw_gallery(fulls, n, SplitMix64(s)) for s in seeds[n]] for n in shots}
     if not draws:
         return {}
-    first = next(iter(draws.values()))[0]  # every draw shares the probes and labels
-    if not first.probes:
+    if not probes:
         raise ValueError("no probes")
-    labels = sorted(first.gallery)
-    true_col = np.searchsorted(labels, [s.identity for s in first.probes])
+    true_col = np.searchsorted(list(fulls), [samples[i].identity for i in probes])
+    full = sorted(i for members in fulls.values() for i in members)  # the distance rows
     feats = np.asarray(features, dtype=np.float64)
-    feature_row = {s.id: i for i, s in enumerate(samples)}
-    full = [i for i, s in enumerate(samples) if s.occlusion is Occlusion.FULL_BODY]
-    gallery_row = {samples[i].id: j for j, i in enumerate(full)}
-    dist = _distances(feats[full], feats[[feature_row[s.id] for s in first.probes]])
-    probe_ids = [s.id for s in first.probes]
+    dist = _distances(feats[full], feats[probes])
+    probe_ids = [samples[i].id for i in probes]
     reports = {}
-    for n, pgs in draws.items():
-        curves = [
-            _cmc(dist, np.array([[gallery_row[s.id] for s in pg.gallery[i]] for i in labels]).T,
-                 true_col, aggregate)
-            for pg in pgs
-        ]
-        manifest = [tuple((i, tuple(s.id for s in pg.gallery[i])) for i in labels) for pg in pgs]
+    for n, galleries in draws.items():
+        # (I, N) drawn sample indices -> (N, I) distance rows
+        curves = [_cmc(dist, np.searchsorted(full, list(g.values())).T, true_col, aggregate)
+                  for g in galleries]
+        manifest = [tuple((i, tuple(samples[k].id for k in g[i])) for i in g) for g in galleries]
         reports[n] = EvalReport.from_curve(
             np.mean(curves, axis=0), n, trials, seeds[n], manifest, probe_ids
         )

@@ -146,8 +146,8 @@ def load_image(path) -> Image:
     """Decode a binary PPM (P6, 3 channels) or PGM (P5, 1 channel) file.
 
     Raises FileNotFoundError, UnsupportedFormat for other magics or 16-bit
-    samples, CorruptData for malformed headers or short payloads; every
-    message starts with the path.
+    samples, CorruptData for malformed headers, short payloads or bytes
+    after the payload; every message starts with the path.
     """
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0, path)
@@ -174,6 +174,8 @@ def load_image(path) -> Image:
     payload = data[pos : pos + expected]
     if len(payload) < expected:
         raise CorruptData(f"{path}: payload has {len(payload)} bytes, expected {expected}")
+    if pos + expected != len(data):
+        raise CorruptData(f"{path}: {len(data) - pos - expected} trailing bytes after the payload")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return Image(arr)
 

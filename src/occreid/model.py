@@ -165,30 +165,33 @@ def _params_from_dict(arch: ArchSpec, tensors: dict) -> ModelParams:
     )
 
 
+def _param_shapes(arch: ArchSpec, num_classes: int) -> list:
+    """(name, shape) of every tensor in declaration order: the layout of
+    ModelParams.tensors(), of backward's gradients and of a checkpoint."""
+    shapes, c_in = [], arch.in_channels
+    for i, spec in enumerate(arch.convs):
+        shapes.append((f"conv{i}.w", (spec.out_channels, c_in, spec.kernel, spec.kernel)))
+        shapes.append((f"conv{i}.b", (spec.out_channels,)))
+        c_in = spec.out_channels
+    d = arch.feature_dim
+    return shapes + [
+        ("id.w", (num_classes, d)), ("id.b", (num_classes,)), ("obc.w", (2, d)), ("obc.b", (2,))
+    ]
+
+
 def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
     """He-style uniform init, bound sqrt(6 / fan_in); biases start at zero."""
     if num_classes < 2:
         raise ValueError(f"need >= 2 identity classes, got {num_classes}")
     gen = np.random.Generator(np.random.PCG64(seed))
-    conv_w, conv_b = [], []
-    c_in = arch.in_channels
-    for spec in arch.convs:
-        fan_in = c_in * spec.kernel * spec.kernel
-        bound = np.sqrt(6.0 / fan_in)
-        conv_w.append(gen.uniform(-bound, bound, (spec.out_channels, c_in, spec.kernel, spec.kernel)))
-        conv_b.append(np.zeros(spec.out_channels))
-        c_in = spec.out_channels
-    d = arch.feature_dim
-    bound = np.sqrt(6.0 / d)
-    return ModelParams(
-        arch,
-        tuple(conv_w),
-        tuple(conv_b),
-        gen.uniform(-bound, bound, (num_classes, d)),
-        np.zeros(num_classes),
-        gen.uniform(-bound, bound, (2, d)),
-        np.zeros(2),
-    )
+    tensors = {}
+    for name, shape in _param_shapes(arch, num_classes):
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(6.0 / math.prod(shape[1:]))
+            tensors[name] = gen.uniform(-bound, bound, shape)
+    return _params_from_dict(arch, tensors)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
@@ -388,7 +391,8 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
     side = arch.resize_side
     copies = 1 if occlusions is None else 2  # rows n: hold the occluded half, rewritten per epoch
-    stack = np.stack([resize(s.image, side, side).pixels for s in samples] * copies)
+    stack = np.empty((copies * n, side, side, arch.in_channels), dtype=np.uint8)
+    _resize_into(stack, [(s.id, s.image) for s in samples], side)
     labels_all = np.array([label_of[s.identity] for s in samples] * copies)
     flags_all = np.array([s.occlusion.obc_target for s in samples] * copies)
     # every input_side crop as a view, indexed (sample, y, x) -> (C, S, S)
@@ -401,9 +405,9 @@ def train(samples, cfg: TrainConfig, occlusions=None):
         if it % epoch_len == 0:  # an epoch starts: fresh occlusions, streams and queue
             if occlusions is not None:
                 occluded = list(occlusions(it // epoch_len))
-                stack[n:] = [resize(z.image, side, side).pixels for z in occluded]
                 labels_all[n:] = [label_of[z.identity] for z in occluded]
                 flags_all[n:] = [z.occlusion.obc_target for z in occluded]
+                _resize_into(stack[n:], [(z.id, z.image) for z in occluded], side)
             order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), it))
             jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), it))
             queue: list[int] = []
@@ -431,6 +435,17 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     return params, history
 
 
+def _resize_into(out: np.ndarray, named_images, side: int, crop=slice(None)) -> None:
+    """Write each (name, Image), resized to side x side and cut by `crop` on
+    both axes, into the next row of the uint8 array out; an image whose
+    channel count is not out's raises ShapeMismatch naming it."""
+    c = out.shape[-1]
+    for i, (name, img) in enumerate(named_images):
+        if img.channels != c:
+            raise ShapeMismatch(f"{name} has {img.channels} channels, expected {c}")
+        out[i] = resize(img, side, side).pixels[crop, crop]
+
+
 def preprocess_images(images: list, arch: ArchSpec) -> np.ndarray:
     """Resize each image to the square resize_side and take its center
     input_side crop, as evaluation and saliency see images: an
@@ -438,10 +453,7 @@ def preprocess_images(images: list, arch: ArchSpec) -> np.ndarray:
     r, s = arch.resize_side, arch.input_side
     lo, c = (r - s) // 2, images[0].channels if images else arch.in_channels
     out = np.empty((len(images), s, s, c), dtype=np.uint8)
-    for i, img in enumerate(images):
-        if img.channels != c:
-            raise ShapeMismatch(f"image {i} has {img.channels} channels, the first has {c}")
-        out[i] = resize(img, r, r).pixels[lo : lo + s, lo : lo + s]
+    _resize_into(out, [(f"image {i}", img) for i, img in enumerate(images)], r, slice(lo, lo + s))
     return out
 
 
@@ -529,17 +541,7 @@ def load_checkpoint(path) -> ModelParams:
     except (struct.error, ValueError) as e:
         raise CorruptData(f"{path}: malformed header ({e})") from e
     tensors = {}
-    c_in = arch.in_channels
-    shapes = []
-    for i, spec in enumerate(arch.convs):
-        shapes.append((f"conv{i}.w", (spec.out_channels, c_in, spec.kernel, spec.kernel)))
-        shapes.append((f"conv{i}.b", (spec.out_channels,)))
-        c_in = spec.out_channels
-    d = arch.feature_dim
-    shapes.extend(
-        [("id.w", (num_classes, d)), ("id.b", (num_classes,)), ("obc.w", (2, d)), ("obc.b", (2,))]
-    )
-    for name, shape in shapes:
+    for name, shape in _param_shapes(arch, num_classes):
         count = math.prod(shape)  # Python ints: a corrupt header must not wrap around
         if pos + 4 * count > len(data):
             raise CorruptData(f"{path}: truncated tensor {name}")

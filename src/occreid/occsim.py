@@ -46,9 +46,9 @@ class OcclusionConfig:
             raise ValueError(
                 f"need 0 < ratio_lo <= ratio_hi < 1, got [{self.ratio_lo}, {self.ratio_hi}]"
             )
-        if not 0.0 < self.aspect_lo <= self.aspect_hi:
+        if not 0.0 < self.aspect_lo <= self.aspect_hi < float("inf"):
             raise ValueError(
-                f"need 0 < aspect_lo <= aspect_hi, got [{self.aspect_lo}, {self.aspect_hi}]"
+                f"need 0 < aspect_lo <= aspect_hi < inf, got [{self.aspect_lo}, {self.aspect_hi}]"
             )
         if not 0.0 < self.background_band <= 1.0:
             raise ValueError(f"background_band must be in (0, 1], got {self.background_band}")

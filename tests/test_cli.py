@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import re
 import shutil
@@ -90,6 +91,11 @@ class TestConfig:
         p.write_text("[trainer]\nalpha = 0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="trainer"):
             load_config(p)
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        p = tmp_path / "pct.ini"
+        p.write_text("[run]\nout = runs/100%\n", encoding="utf-8")
+        assert load_config(p).run.out == "runs/100%"
 
     def test_bad_value_reported_with_location(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -450,6 +456,8 @@ class TestExitCodes:
             pytest.param("dataset", {"identities": "1"}, id="identities = 1"),
             pytest.param("dataset", {"split_fraction": "1.5"}, id="split_fraction = 1.5"),
             pytest.param("eval", {"shots": "1,5"}, id="shots = 1,5 on 4 per identity"),
+            pytest.param("occlusion", {"aspect_hi": "inf"}, id="aspect_hi = inf"),
+            pytest.param("dataset", {"image_width": "2"}, id="image_width = 2"),
         ],
     )
     def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, section, bad):
@@ -562,6 +570,40 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "patch_side 10" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "report", "sweep-alpha"])
+    def test_gray_image_among_colour_training_images_writes_nothing(self, tmp_path, capsys, command):
+        # one whole/ image of a training identity is a 1-channel PGM
+        from occreid.config import load_config
+        from occreid.pipeline import prepare_experiment
+
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            for branch in ("whole", "occluded"):
+                p = root / branch / f"{s.identity:03d}"
+                p.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, p / f"{s.id}.ppm")
+        cfg = _scanned_ini(root, tmp_path / "cfg.ini")
+        ident = min(prepare_experiment(load_config(cfg)).split.train_identities)
+        victim = sorted(root.glob(f"whole/{ident:03d}/*.ppm"))[0]
+        victim.unlink()
+        save_image(Image(np.zeros((24, 16), np.uint8)), victim.with_suffix(".pgm"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and victim.with_suffix(".pgm").name in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "eval", "sweep-alpha", "saliency", "report"])
+    def test_ablation_switches_only_on_train(self, tmp_path, config_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--config", str(config_path), "--out", str(out), "--no-os"]
+        if command in ("eval", "saliency"):
+            args += ["--checkpoint", str(tmp_path / "c.bin")]
+        assert main(args) == 1
+        assert "unrecognized arguments: --no-os" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numeric_failure_float32_overflow(self, tmp_path, capsys):
@@ -695,3 +737,55 @@ class TestCorruptInputContract:
                 code, err = _run_contained([command, *argv])
                 assert code in (0, 2, 3), err
                 assert "Traceback" not in err
+
+
+_INI_SECTIONS = {
+    name: [f.name for f in dataclasses.fields(section)]
+    for name, section in vars(ExperimentConfig()).items()
+}
+# ints stay at or below 16, so identities x per_identity x image size keeps
+# every simulate run small
+_INI_TOKENS = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "1e400", "1e-320", "0.5", "-0.5", "1.5"]),
+    st.sampled_from(["true", "off", "maybe", "1,2", "1,,2", ",", "%", "%%", "2 ; note"]),
+    st.integers(-3, 16).map(str),
+    _real(-2.0, 2.0),
+    st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(lambda v: ",".join(map(str, v))),
+)
+
+
+@st.composite
+def _ini_texts(draw):
+    """INI text over the known sections and keys with random values, some
+    unknown sections and keys, repeated keys and sections, and sometimes a
+    line before the first section header."""
+    lines = []
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(f"seed = {draw(_INI_TOKENS)}")
+    names = st.sampled_from(list(_INI_SECTIONS) * 4 + ["extra", "Train", "DEFAULT"])
+    for name in draw(st.lists(names, min_size=1, max_size=3)):
+        lines.append(f"[{name}]")
+        keys = st.sampled_from(_INI_SECTIONS.get(name, ["seed", "alpha"]) * 4 + ["nope"])
+        lines += [f"{key} = {draw(_INI_TOKENS)}" for key in draw(st.lists(keys, max_size=3))]
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigContract:
+    """Any INI text ends `simulate` in a documented exit code, never in a
+    traceback; exit 1 (config error) exactly when load_config rejects it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=_ini_texts())
+    def test_random_ini(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.ini"
+            cfg.write_text(text, encoding="utf-8")
+            try:
+                load_config(cfg)
+                accepted = True
+            except ValueError:
+                accepted = False
+            code, err = _run_contained(["simulate", "--config", str(cfg), "--out", f"{tmp}/out"])
+        assert code in (0, 1, 2), err
+        assert (code == 1) == (not accepted), err  # a bad config fails at load, nowhere else
+        assert "Traceback" not in err

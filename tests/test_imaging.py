@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,20 @@ class TestCodec:
         p = tmp_path / "x.ppm"
         p.write_bytes(b"P6\n2 2\n255\nabc")
         with pytest.raises(CorruptData):
+            load_image(p)
+
+    @pytest.mark.parametrize(
+        "header, tail, extra",
+        [
+            pytest.param(b"P6\n8 24\n255\n", b"", 16 * 24 * 3 - 8 * 24 * 3, id="width 16 edited to 8"),
+            pytest.param(b"P6\n16 24\n255\n", b"\x00", 1, id="one appended byte"),
+        ],
+    )
+    def test_bytes_after_payload(self, tmp_path, header, tail, extra):
+        # a damaged size token must not decode as a smaller image
+        p = tmp_path / "x.ppm"
+        p.write_bytes(header + bytes(range(256)) * 4 + bytes(16 * 24 * 3 - 1024) + tail)
+        with pytest.raises(CorruptData, match=f"{re.escape(str(p))}: {extra} trailing bytes"):
             load_image(p)
 
     def test_garbage_header(self, tmp_path):

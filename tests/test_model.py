@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from occreid.model import (
     _col2im,
     _im2col,
     _mean_losses,
+    _param_shapes,
     _params_from_dict,
     _softmax,
     backward,
@@ -67,6 +69,63 @@ def conv_oracle(x, w, bias, stride, pad):
                 window = xp[:, i * stride : i * stride + k, j * stride : j * stride + k]
                 out[f, i, j] = (window * w[f]).sum() + bias[f]
     return out
+
+
+def reference_init(arch, num_classes, seed):
+    """init_params written out layer by layer: every conv weight in order,
+    then id.w and obc.w, uniform in +-sqrt(6 / fan_in) from one PCG64
+    stream; biases zero."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    out, c_in = {}, arch.in_channels
+    for i, spec in enumerate(arch.convs):
+        bound = np.sqrt(6.0 / (c_in * spec.kernel * spec.kernel))
+        shape = (spec.out_channels, c_in, spec.kernel, spec.kernel)
+        out[f"conv{i}.w"] = gen.uniform(-bound, bound, shape)
+        out[f"conv{i}.b"] = np.zeros(spec.out_channels)
+        c_in = spec.out_channels
+    d = arch.feature_dim
+    bound = np.sqrt(6.0 / d)
+    out["id.w"] = gen.uniform(-bound, bound, (num_classes, d))
+    out["id.b"] = np.zeros(num_classes)
+    out["obc.w"] = gen.uniform(-bound, bound, (2, d))
+    out["obc.b"] = np.zeros(2)
+    return out
+
+
+class TestParamLayout:
+    ARCHS = [
+        TINY,
+        ArchSpec(),
+        ArchSpec(20, 24, 3, (ConvSpec(6, 5, 1), ConvSpec(5, 1, 3), ConvSpec(7, 3, 2), ConvSpec(9, 3, 2))),
+    ]
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_params_gradients_and_checkpoint_follow_the_layout(self, tmp_path, arch, channels):
+        arch = dataclasses.replace(arch, in_channels=channels)
+        layout = _param_shapes(arch, 5)
+        params = init_params(arch, 5, 1)
+        assert [(name, arr.shape) for name, arr in params.tensors()] == layout
+        x = np.random.Generator(np.random.PCG64(2)).uniform(
+            0, 1, (2, channels, arch.input_side, arch.input_side)
+        )
+        grads = backward(forward(params, x), params, [0, 4], [0, 1], 0.5)
+        assert sorted((name, g.shape) for name, g in grads.items()) == sorted(layout)
+        path = tmp_path / "m.bin"
+        save_checkpoint(params, path)
+        header = 8 + 16 + 12 * len(arch.convs) + 4  # magic, geometry, convs, class count
+        assert path.stat().st_size == header + 4 * sum(math.prod(shape) for _, shape in layout)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_init_matches_per_layer_reference(self, arch, channels):
+        arch = dataclasses.replace(arch, in_channels=channels)
+        for seed in (0, 1, 2**63 + 5):
+            want = reference_init(arch, 7, seed)
+            got = init_params(arch, 7, seed).tensors()
+            assert [name for name, _ in got] == list(want)
+            for name, arr in got:
+                assert arr.dtype == want[name].dtype and arr.tobytes() == want[name].tobytes(), name
 
 
 class TestForward:
@@ -475,6 +534,16 @@ class TestTrain:
         _, cfg = small_train_setup(5)
         with pytest.raises(ValueError):
             train([], cfg)
+
+    def test_mixed_channels_name_the_sample(self):
+        # a gray image among colour ones, in the full-body set or in an
+        # epoch's occluded half, is a data error naming it
+        samples, cfg = small_train_setup(5)
+        gray = dataclasses.replace(samples[2], id="gray", image=Image(np.zeros((24, 16), np.uint8)))
+        with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
+            train(samples[:2] + [gray] + samples[3:], cfg)
+        with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
+            train(samples, cfg, occlusions=lambda e: [gray] + samples[1:])
 
 
 def replay_train_inputs(samples, cfg, occlusions=None):
