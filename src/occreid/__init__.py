@@ -36,11 +36,9 @@ from .model import (
     backward,
     extract_features,
     forward,
-    id_loss,
     init_params,
     load_checkpoint,
     multi_task_loss,
-    obc_loss,
     preprocess_image,
     preprocess_images,
     save_checkpoint,
@@ -51,8 +49,6 @@ from .occsim import (
     OcclusionConfig,
     OcclusionRecord,
     build_occlusion_set,
-    combine,
-    sample_background_patch,
     sample_occluded_rect,
     simulate_occlusion,
 )

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InfeasibleGeometry
-from .evaluate import AGGREGATES
 from .fileio import write_atomic
 from .model import ArchSpec, ConvSpec, TrainConfig
-from .occsim import OcclusionConfig, check_patch_fits
+from .occsim import OcclusionConfig, check_patch_fits, check_target_fits
 
 
 @dataclass
@@ -41,13 +40,9 @@ class OcclusionSection:
     aspect_hi: float = 2.0
     background_band: float = 0.25
     regenerate_per_epoch: bool = False
-    # synthetic eval probes may draw occlusions from a shifted distribution
-    # (mimicking real occluders differing from training-time artificial
-    # ones); negative values inherit the training-time setting
-    probe_ratio_lo: float = -1.0
-    probe_ratio_hi: float = -1.0
-    probe_aspect_lo: float = -1.0
-    probe_aspect_hi: float = -1.0
+    # synthetic eval probes may crop their occluders from another band
+    # (real occluders differ from training-time artificial ones); a
+    # negative value inherits background_band
     probe_band: float = -1.0
 
 
@@ -64,19 +59,12 @@ class TrainSection:
     kernel: int = 3
     stride: int = 2
     lr_decay_every: int = 0
-    lr_decay_factor: float = 0.1
 
 
 @dataclass
 class EvalSection:
     shots: tuple = (1, 2, 5)
     trials: int = 10
-    aggregate: str = "min"
-
-
-@dataclass
-class SaliencySection:
-    quantile: float = 0.5
 
 
 @dataclass
@@ -93,7 +81,6 @@ class ExperimentConfig:
     occlusion: OcclusionSection = field(default_factory=OcclusionSection)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
-    saliency: SaliencySection = field(default_factory=SaliencySection)
     run: RunSection = field(default_factory=RunSection)
 
 
@@ -102,7 +89,6 @@ _SECTIONS = {
     "occlusion": OcclusionSection,
     "train": TrainSection,
     "eval": EvalSection,
-    "saliency": SaliencySection,
     "run": RunSection,
 }
 
@@ -130,7 +116,10 @@ def _parse_value(raw: str, template):
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI file into an ExperimentConfig, validating every key."""
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal: a '%' is a '%'
+    # values are literal (a '%' is a '%'); no header can name the empty
+    # section, so a [DEFAULT] section is read as an unknown section instead
+    # of as defaults for every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     text = Path(path).read_text(encoding="utf-8")
     try:
         parser.read_string(text, source=str(path))
@@ -169,26 +158,23 @@ def _validate(cfg: ExperimentConfig) -> None:
         )
     if not ds.root and ds.image_width < 3:
         raise ValueError(f"[dataset] image_width: synthetic images need 3 or more, got {ds.image_width}")
-    if ev.aggregate not in AGGREGATES:
-        raise ValueError(f"[eval] aggregate: {ev.aggregate!r} is not one of {AGGREGATES}")
     if min(ev.shots) < 1:
         raise ValueError(f"[eval] shots: need counts >= 1, got {ev.shots}")
     if not ds.root and max(ev.shots) > ds.per_identity:
         raise ValueError(f"[eval] shots: {ev.shots} above the synthetic per_identity {ds.per_identity}")
     if ev.trials < 1:
         raise ValueError(f"[eval] trials: must be >= 1, got {ev.trials}")
-    if not 0.0 < cfg.saliency.quantile < 1.0:
-        raise ValueError(f"[saliency] quantile: must be in (0, 1), got {cfg.saliency.quantile}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an alpha of 0 or 1 warns when training starts
             train_config(cfg, 0, cfg.train.alpha)
     except ValueError as e:
         raise ValueError(f"[train] {e}") from e
-    for name, build in (("", occlusion_config), ("probe_* settings: ", probe_occlusion_config)):
+    for name, build in (("", occlusion_config), ("probe_band: ", probe_occlusion_config)):
         try:
             occ = build(cfg, 0)
             if not ds.root:  # the synthetic image size is known now
+                check_target_fits(occ, ds.image_width, ds.image_height)
                 check_patch_fits(occ, ds.image_width, ds.image_height)
         except (ValueError, InfeasibleGeometry) as e:
             raise ValueError(f"[occlusion] {name}{e}") from e
@@ -215,7 +201,6 @@ def train_config(cfg: ExperimentConfig, seed: int, alpha: float) -> TrainConfig:
         arch=arch_spec(cfg),
         max_jitter=None if t.max_jitter < 0 else t.max_jitter,
         lr_decay_every=t.lr_decay_every,
-        lr_decay_factor=t.lr_decay_factor,
     )
 
 
@@ -236,18 +221,11 @@ def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
 
 
 def probe_occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    """Settings for synthetic eval probes: each negative probe_* value
-    inherits the training-time setting."""
-    occ = cfg.occlusion
+    """Settings for synthetic eval probes: the training-time ones, with
+    probe_band as the background band unless it is negative."""
     base = occlusion_config(cfg, seed)
-    return dataclasses.replace(
-        base,
-        ratio_lo=occ.probe_ratio_lo if occ.probe_ratio_lo >= 0 else base.ratio_lo,
-        ratio_hi=occ.probe_ratio_hi if occ.probe_ratio_hi >= 0 else base.ratio_hi,
-        aspect_lo=occ.probe_aspect_lo if occ.probe_aspect_lo >= 0 else base.aspect_lo,
-        aspect_hi=occ.probe_aspect_hi if occ.probe_aspect_hi >= 0 else base.aspect_hi,
-        background_band=occ.probe_band if occ.probe_band >= 0 else base.background_band,
-    )
+    band = cfg.occlusion.probe_band
+    return dataclasses.replace(base, background_band=band if band >= 0 else base.background_band)
 
 
 def render_config(cfg: ExperimentConfig) -> str:

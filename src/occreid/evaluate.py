@@ -5,12 +5,12 @@ features, computed for all probe/gallery pairs as one array; the
 probe-to-full-body distances do not depend on the gallery draw, so a
 multi-trial run computes them once and every trial gathers its rows. An
 identity's score under the multi-shot protocol is the minimum distance
-over its N gallery images (or, optionally, the mean); a probe's rank is
-the number of identities scoring below its true one, plus those tying
-with it under a lower label, and a NaN or inf distance is an error. The
-CMC curve is the fraction of probes whose true identity appears within
-the top r ranks; multi-trial runs redraw the gallery per trial, average
-the curves pointwise and keep each draw on record.
+over its N gallery images; a probe's rank is the number of identities
+scoring below its true one, plus those tying with it under a lower
+label, and a NaN or inf distance is an error. The CMC curve is the
+fraction of probes whose true identity appears within the top r ranks;
+multi-trial runs redraw the gallery per trial, average the curves
+pointwise and keep each draw on record.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ import numpy as np
 from .dataset import draw_gallery, gallery_pool
 from .errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
 from .rng import SplitMix64, derive_seed
-
-AGGREGATES = ("min", "mean")
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -67,19 +64,13 @@ def _distances(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cmc(dist: np.ndarray, rows: np.ndarray, true_col: np.ndarray, aggregate: str) -> np.ndarray:
+def _cmc(dist: np.ndarray, rows: np.ndarray, true_col: np.ndarray) -> np.ndarray:
     """CMC of one gallery draw over a (G, P) distance matrix.
 
     rows[n, i] is the dist row of identity i's n-th gallery image;
     true_col[p] is probe p's identity index.
     """
-    if aggregate not in AGGREGATES:
-        raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    # shot-major (N, I, P): reducing the leading axis adds the N distances
-    # in gallery order, as a sequential sum does; numpy sums a last axis of
-    # 8 or more terms pairwise, which rounds the mean differently
-    shot = dist[rows]
-    scores = shot.min(0) if aggregate == "min" else shot.mean(0)
+    scores = dist[rows].min(0)  # (I, P): each identity's closest image
     n_ids, n_probes = scores.shape
     true_score = scores[true_col, np.arange(n_probes)]
     lower_label = np.arange(n_ids)[:, None] < true_col
@@ -87,7 +78,7 @@ def _cmc(dist: np.ndarray, rows: np.ndarray, true_col: np.ndarray, aggregate: st
     return np.cumsum(np.bincount(rank, minlength=n_ids)) / n_probes
 
 
-def cmc_curve(probes, gallery: dict, aggregate: str = "min") -> EvalReport:
+def cmc_curve(probes, gallery: dict) -> EvalReport:
     """Single-trial CMC over (feature, identity) probes against a gallery
     mapping each identity to an equal number of features.
 
@@ -120,17 +111,10 @@ def cmc_curve(probes, gallery: dict, aggregate: str = "min") -> EvalReport:
     dist = _distances(g.reshape(-1, g.shape[-1]), p)
     rows = np.arange(g.shape[0] * shots).reshape(-1, shots).T  # identity i's n-th image
     true_col = np.array([column[ident] for _, ident in probes])
-    return EvalReport.from_curve(_cmc(dist, rows, true_col, aggregate), shots, 1)
+    return EvalReport.from_curve(_cmc(dist, rows, true_col), shots, 1)
 
 
-def evaluate(
-    features,
-    samples,
-    shots,
-    trials: int = 10,
-    seed: int = 0,
-    aggregate: str = "min",
-) -> dict:
+def evaluate(features, samples, shots, trials: int = 10, seed: int = 0) -> dict:
     """Multi-trial protocol, one EvalReport per shot count in `shots`.
 
     Shot count n's trial t redraws the gallery with a generator seeded by
@@ -159,7 +143,7 @@ def evaluate(
     reports = {}
     for n, galleries in draws.items():
         # (I, N) drawn sample indices -> (N, I) distance rows
-        curves = [_cmc(dist, np.searchsorted(full, list(g.values())).T, true_col, aggregate)
+        curves = [_cmc(dist, np.searchsorted(full, list(g.values())).T, true_col)
                   for g in galleries]
         manifest = [tuple((i, tuple(samples[k].id for k in g[i])) for i in g) for g in galleries]
         reports[n] = EvalReport.from_curve(

@@ -145,9 +145,12 @@ def _next_token(data: bytes, pos: int, path) -> tuple[bytes, int]:
 def load_image(path) -> Image:
     """Decode a binary PPM (P6, 3 channels) or PGM (P5, 1 channel) file.
 
-    Raises FileNotFoundError, UnsupportedFormat for other magics or 16-bit
-    samples, CorruptData for malformed headers, short payloads or bytes
-    after the payload; every message starts with the path.
+    Samples are scaled from 0..maxval to 0..255, rounding half up, so a
+    maxval-1 mask reads as 0/255; maxval 255 reads unchanged. Raises
+    FileNotFoundError, UnsupportedFormat for other magics or 16-bit
+    samples, CorruptData for malformed headers, short payloads, samples
+    above maxval or bytes after the payload; every message starts with the
+    path.
     """
     data = Path(path).read_bytes()
     magic, pos = _next_token(data, 0, path)
@@ -177,6 +180,10 @@ def load_image(path) -> Image:
     if pos + expected != len(data):
         raise CorruptData(f"{path}: {len(data) - pos - expected} trailing bytes after the payload")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    if maxval < 255:
+        if arr.max() > maxval:
+            raise CorruptData(f"{path}: sample {arr.max()} above maxval {maxval}")
+        arr = ((arr.astype(np.uint32) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     return Image(arr)
 
 

@@ -35,6 +35,7 @@ from .rng import SplitMix64, derive_seed
 _MAGIC = b"OCREID01"
 FORWARD_CHUNK = 16  # images per forward outside training; bounds the activation memory
 MAX_SIDE = 256  # largest resize side; bounds the memory a config or checkpoint header can ask for
+LR_DECAY_FACTOR = 0.1  # the step schedule's factor, applied every lr_decay_every iterations
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,6 @@ class TrainConfig:
     arch: ArchSpec = field(default_factory=ArchSpec)
     max_jitter: int | None = None  # None picks (resize_side - input_side) // 2
     lr_decay_every: int = 0  # 0 disables the step schedule
-    lr_decay_factor: float = 0.1
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -265,27 +265,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def id_loss(id_logits, label: int) -> float:
-    """Cross-entropy of the identity head for one sample.
-
-    label indexes the K logits (0-based after the contiguous remap done by
-    train)."""
-    logits = np.asarray(id_logits, dtype=np.float64).reshape(-1)
-    if not 0 <= label < logits.shape[0]:
-        raise LabelOutOfRange(f"label {label} outside [0, {logits.shape[0]})")
-    return float(-_log_softmax(logits)[label])
-
-
-def obc_loss(obc_logits, occluded_flag: int) -> float:
-    """Two-class cross-entropy; flag 0 means occluded, 1 means full body."""
-    logits = np.asarray(obc_logits, dtype=np.float64).reshape(-1)
-    if logits.shape[0] != 2:
-        raise ShapeMismatch(f"expected 2 occlusion logits, got {logits.shape[0]}")
-    if occluded_flag not in (0, 1):
-        raise ValueError(f"occluded_flag must be 0 or 1, got {occluded_flag}")
-    return float(-_log_softmax(logits)[occluded_flag])
-
-
 def multi_task_loss(id_loss_value: float, obc_loss_value: float, alpha: float) -> float:
     """alpha-weighted combination of the two losses."""
     if not 0.0 <= alpha <= 1.0:
@@ -371,7 +350,7 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     the occlusion flag of each sample supplies the binary target. Batches
     walk repeated uniform shuffles of the set. Returns the final params
     and one (iteration, total, id_loss, obc_loss) row per step, where
-    total is exactly alpha * id + (1 - alpha) * obc.
+    total is multi_task_loss(id_loss, obc_loss, alpha).
 
     occlusions, when given, maps an epoch number to that epoch's occluded
     set, one sample per input sample. Training then runs in epochs of
@@ -423,11 +402,11 @@ def train(samples, cfg: TrainConfig, occlusions=None):
             shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]
         trace = forward(params, _to_input(crops[batch, center + shift[:, 1], center + shift[:, 0]]))
         lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
-        history.append((it, cfg.alpha * lp + (1.0 - cfg.alpha) * lo, lp, lo))
+        history.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
         grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
         lr = cfg.learning_rate
         if cfg.lr_decay_every > 0:
-            lr *= cfg.lr_decay_factor ** (it // cfg.lr_decay_every)
+            lr *= LR_DECAY_FACTOR ** (it // cfg.lr_decay_every)
         try:
             params = sgd_step(params, grads, lr)
         except NonFiniteGradient as e:

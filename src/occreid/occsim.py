@@ -96,6 +96,21 @@ def sample_occluded_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: Spli
     )
 
 
+def check_target_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> None:
+    """Raise InfeasibleGeometry unless the smallest target area fits an
+    img_w x img_h image at both aspect extremes, rounded as
+    sample_occluded_rect rounds; every aspect between them then fits too."""
+    area = img_w * img_h * cfg.ratio_lo
+    w, h = (area * cfg.aspect_hi) ** 0.5, (area / cfg.aspect_lo) ** 0.5
+    # rounding half up gives n or less exactly when x + 0.5 < n + 1, which
+    # also holds for a side that overflowed to inf
+    smallest = f"the smallest ({cfg.ratio_lo} area) rect does not fit a {img_w}x{img_h} image"
+    if not w + 0.5 < img_w + 1:
+        raise InfeasibleGeometry(f"aspect_hi {cfg.aspect_hi}: {smallest} ({w:.3g} wide)")
+    if not h + 0.5 < img_h + 1:
+        raise InfeasibleGeometry(f"aspect_lo {cfg.aspect_lo}: {smallest} ({h:.3g} tall)")
+
+
 def check_patch_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> int:
     """Height of the background band of an img_w x img_h image; raises
     InfeasibleGeometry when the patch does not fit in it."""
@@ -114,11 +129,6 @@ def _patch_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: SplitMix64) -
     x = rng.randint(0, img_w - s)
     y = rng.randint(0, band_h - s)
     return Rect(x, y, s, s)
-
-
-def sample_background_patch(img: Image, cfg: OcclusionConfig, rng: SplitMix64) -> Image:
-    """Square patch_side crop from the background band (top strip)."""
-    return crop(img, _patch_rect(img.width, img.height, cfg, rng))
 
 
 def simulate_occlusion(
@@ -160,8 +170,3 @@ def build_occlusion_set(
         occluded.append(PersonSample(s.id + "#occ", img, s.identity, Occlusion.ARTIFICIAL))
         records.append(rec)
     return occluded, records
-
-
-def combine(x, z) -> list[PersonSample]:
-    """Concatenation of the full-body and occluded sets, provenance intact."""
-    return list(x) + list(z)

@@ -46,7 +46,7 @@ from .model import (
     to_checkpoint_precision,
     train,
 )
-from .occsim import build_occlusion_set, combine
+from .occsim import build_occlusion_set
 from .rng import SplitMix64, derive_seed
 from .saliency import binarize, detection_precision, saliency_maps
 from .svgplot import line_plot
@@ -192,7 +192,7 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
         return train(data.train_full, tcfg)
     if cfg.occlusion.regenerate_per_epoch:
         return train(data.train_full, tcfg, occlusions=lambda e: _build_occluded_set(cfg, data, e))
-    return train(combine(data.train_full, _build_occluded_set(cfg, data)), tcfg)
+    return train(data.train_full + _build_occluded_set(cfg, data), tcfg)
 
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
@@ -225,9 +225,7 @@ def evaluate_model(cfg: ExperimentConfig, params: ModelParams, data: ExperimentD
     samples = data.test_samples
     feats = extract_features(params, preprocess_images([s.image for s in samples], params.arch))
     ev = cfg.eval
-    return evaluate(
-        feats, samples, ev.shots, ev.trials, derive_seed(cfg.run.seed, TAG_EVAL), ev.aggregate
-    )
+    return evaluate(feats, samples, ev.shots, ev.trials, derive_seed(cfg.run.seed, TAG_EVAL))
 
 
 def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
@@ -355,7 +353,7 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
         # annotations take the images' resize and center crop, then are re-binarized
         bodies = preprocess_images(list(masks.values()), params.arch) > 127
         precisions = [
-            detection_precision(binarize(maps[i], cfg.saliency.quantile), Image(body * 255))
+            detection_precision(binarize(maps[i]), Image(body * 255))
             for i, body in zip(masks, bodies)
         ]
         results.append((label, maps, precisions))

@@ -103,6 +103,48 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nseed = 3\nidentities = 4\n", "[DEFAULT]\nseed = 3\n[run]\nout = runs\n"],
+        ids=["alone", "beside [run]"],
+    )
+    def test_default_section_rejected(self, tmp_path, capsys, text):
+        # configparser would apply [DEFAULT] to every section: alone it
+        # loaded as the default config, beside [run] it set run.seed
+        p = tmp_path / "default.ini"
+        p.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shipped_configs_load(self, tmp_path):
+        from .test_acceptance import TestCriterion7Determinism, acceptance_config
+
+        texts = [
+            render_config(ExperimentConfig()),
+            render_config(acceptance_config()),
+            TINY_CONFIG,
+            TestCriterion7Determinism.CONFIG,
+        ]
+        for i, text in enumerate(texts):
+            p = tmp_path / f"{i}.ini"
+            p.write_text(text, encoding="utf-8")
+            load_config(p)
+
+    def test_readme_ini_block_lists_every_setting(self):
+        import configparser
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        documented = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+        documented.read_string(block)
+        defaults = configparser.ConfigParser(interpolation=None)
+        defaults.read_string(render_config(ExperimentConfig()))
+        assert documented.sections() == defaults.sections()
+        for section in defaults.sections():
+            assert list(documented[section]) == list(defaults[section]), section
+
 
 def _ini_values(**fields):
     """Strategy for one INI section's text: each key is set or left at its
@@ -144,7 +186,6 @@ _OCCLUSION = _ini_values(
     aspect_lo=_real(0.0, 2.0),
     aspect_hi=_real(0.5, 3.0),
     background_band=_real(0.0, 1.1),
-    probe_ratio_lo=_real(-1.0, 0.6),
     probe_band=_real(-1.0, 1.1),
 )
 
@@ -155,13 +196,14 @@ class TestConfigBuilds:
     def test_accepted_config_builds_the_run(self, train, dataset, occlusion):
         """Whatever load_config accepts builds the run's TrainConfig,
         ArchSpec and both OcclusionConfigs, with the synthetic images'
-        patch inside its background band; a rejection names its section."""
+        patch inside its background band and the smallest target inside
+        the image; a rejection names its section."""
         import tempfile
         import warnings
         from pathlib import Path
 
         from occreid.config import arch_spec, occlusion_config, probe_occlusion_config, train_config
-        from occreid.occsim import check_patch_fits
+        from occreid.occsim import check_patch_fits, check_target_fits
 
         text = f"[train]\n{train}[dataset]\n{dataset}[occlusion]\n{occlusion}"
         with tempfile.TemporaryDirectory() as d:
@@ -178,7 +220,8 @@ class TestConfigBuilds:
             tcfg = train_config(cfg, 3, cfg.train.alpha)
         assert tcfg.arch == arch_spec(cfg)
         for build in (occlusion_config, probe_occlusion_config):
-            check_patch_fits(build(cfg, 3), cfg.dataset.image_width, cfg.dataset.image_height)
+            for check in (check_patch_fits, check_target_fits):
+                check(build(cfg, 3), cfg.dataset.image_width, cfg.dataset.image_height)
 
 
 class TestSimulateCommand:
@@ -437,13 +480,10 @@ class TestExitCodes:
         [
             pytest.param("eval", {"shots": ""}, id="shots ="),
             pytest.param("eval", {"shots": "1,0"}, id="shots = 1,0"),
-            pytest.param("eval", {"aggregate": "median"}, id="aggregate = median"),
             pytest.param("eval", {"trials": "0"}, id="trials = 0"),
-            pytest.param("saliency", {"quantile": "1.5"}, id="quantile = 1.5"),
             pytest.param(
                 "occlusion", {"ratio_lo": "0.5", "ratio_hi": "0.2"}, id="ratio_lo > ratio_hi"
             ),
-            pytest.param("occlusion", {"probe_ratio_lo": "0.5"}, id="probe_ratio_lo > ratio_hi"),
             pytest.param("occlusion", {"patch_side": "10"}, id="patch_side = 10 on 16x24"),
             pytest.param("train", {"batch_size": "0"}, id="batch_size = 0"),
             pytest.param("train", {"learning_rate": "-1"}, id="learning_rate = -1"),
@@ -457,6 +497,9 @@ class TestExitCodes:
             pytest.param("dataset", {"split_fraction": "1.5"}, id="split_fraction = 1.5"),
             pytest.param("eval", {"shots": "1,5"}, id="shots = 1,5 on 4 per identity"),
             pytest.param("occlusion", {"aspect_hi": "inf"}, id="aspect_hi = inf"),
+            pytest.param("occlusion", {"aspect_hi": "1e300"}, id="aspect_hi = 1e300"),
+            pytest.param("occlusion", {"aspect_lo": "5e-324"}, id="aspect_lo = 5e-324"),
+            pytest.param("occlusion", {"probe_band": "0.1"}, id="probe_band = 0.1 on 16x24"),
             pytest.param("dataset", {"image_width": "2"}, id="image_width = 2"),
         ],
     )
@@ -481,8 +524,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "config error" in err and f"[{section}] " in err
-        assert next(iter(bad)).removeprefix("probe_") in err
+        assert next(iter(bad)) in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("occlusion", "probe_ratio_lo", "0.5"),
+            ("occlusion", "probe_ratio_hi", "0.5"),
+            ("occlusion", "probe_aspect_lo", "1.0"),
+            ("occlusion", "probe_aspect_hi", "1.0"),
+            ("train", "lr_decay_factor", "0.5"),
+            ("eval", "aggregate", "mean"),
+            ("saliency", "quantile", "0.3"),
+        ],
+    )
+    def test_removed_setting_is_unknown(self, tmp_path, capsys, section, key, value):
+        setting = f"[{section}]\n{key} = {value}\n"
+        text = TINY_CONFIG.replace(f"[{section}]\n", setting)
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(text if setting in text else text + setting, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # the whole [saliency] section is gone; the other sections remain
+        gone = "section [saliency]" if section == "saliency" else f"key '{key}' in [{section}]"
+        assert f"config error: {cfg}: unknown {gone}" in err
         assert not out.exists()
 
     def test_data_error_missing_checkpoint(self, tmp_path, config_path, capsys):

@@ -176,10 +176,10 @@ class TestProbeGallery:
 
     def test_artificial_probes_used_when_no_real(self):
         samples = generate_synthetic_dataset(3, 4, 8, 16, SplitMix64(5))
-        from occreid.occsim import OcclusionConfig, build_occlusion_set, combine
+        from occreid.occsim import OcclusionConfig, build_occlusion_set
 
         z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4, seed=2))
-        pg = make_probe_gallery(combine(samples, z), 2, SplitMix64(0))
+        pg = make_probe_gallery(samples + z, 2, SplitMix64(0))
         assert all(s.occlusion is Occlusion.ARTIFICIAL for s in pg.probes)
         assert len(pg.probes) == len(z)
 
@@ -197,11 +197,11 @@ class TestProbeGallery:
     def test_draws_match_per_identity_scan_on_interleaved_samples(self):
         # identities interleaved and out of order: each draw must still see
         # that identity's full-body samples in their original order
-        from occreid.occsim import OcclusionConfig, build_occlusion_set, combine
+        from occreid.occsim import OcclusionConfig, build_occlusion_set
 
         samples = generate_synthetic_dataset(4, 5, 8, 16, SplitMix64(6))
         z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4, seed=1))
-        both = combine(samples, z)
+        both = samples + z
         mixed = both[::-2] + both[::2]
         for seed in range(5):
             rng = SplitMix64(seed)

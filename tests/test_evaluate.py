@@ -9,7 +9,7 @@ from occreid.dataset import Occlusion, generate_synthetic_dataset
 from occreid.errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
 from occreid.evaluate import cmc_curve, evaluate
 from occreid.model import ArchSpec, ConvSpec, extract_features, init_params, preprocess_image
-from occreid.occsim import OcclusionConfig, build_occlusion_set, combine
+from occreid.occsim import OcclusionConfig, build_occlusion_set
 from occreid.rng import SplitMix64
 
 
@@ -34,29 +34,6 @@ def brute_force_cmc(probes, gallery, shots=None):
         acc += h
         out.append(acc / len(probes))
     return out
-
-
-def sequential_cmc(probes, gallery, aggregate):
-    """Plain-loop reference for both aggregates: an identity's distances
-    are combined in gallery order, the mean as a running sum; ties go to
-    the lower label."""
-    idents = sorted(gallery)
-    hits = [0] * len(idents)
-    for feat, true_ident in probes:
-        scored = []
-        for ident in idents:
-            dists = [math.sqrt(sum((a - b) ** 2 for a, b in zip(feat, g))) for g in gallery[ident]]
-            if aggregate == "min":
-                score = min(dists)
-            else:
-                score = 0.0
-                for d in dists:
-                    score += d
-                score /= len(dists)
-            scored.append((score, ident))
-        scored.sort()
-        hits[[ident for _, ident in scored].index(true_ident)] += 1
-    return [sum(hits[: r + 1]) / len(probes) for r in range(len(idents))]
 
 
 class TestCmcCurve:
@@ -150,15 +127,6 @@ class TestCmcCurve:
             assert cmc == tuple(float(r >= rank) for r in range(4))
         assert cmc_curve([(probe, 1)], gallery).shots == 2
 
-    def test_mean_aggregate_changes_ordering(self):
-        gallery = {
-            1: [np.array([0.0]), np.array([100.0])],
-            2: [np.array([2.0]), np.array([2.0])],
-        }
-        probes = [(np.array([0.0]), 1)]
-        assert cmc_curve(probes, gallery, "min").cmc == (1.0, 1.0)
-        assert cmc_curve(probes, gallery, "mean").cmc == (0.0, 1.0)
-
     def test_scale_equivariance(self):
         gen = np.random.Generator(np.random.PCG64(6))
         gallery = {i: [gen.normal(size=4) for _ in range(2)] for i in range(5)}
@@ -166,10 +134,6 @@ class TestCmcCurve:
         base = cmc_curve(probes, gallery).cmc
         scaled = {i: [7.5 * g for g in v] for i, v in gallery.items()}
         assert cmc_curve([(7.5 * f, i) for f, i in probes], scaled).cmc == base
-
-    def test_bad_aggregate(self):
-        with pytest.raises(ValueError, match="aggregate"):
-            cmc_curve([(np.zeros(2), 1)], {1: [np.zeros(2)]}, "median")
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -189,9 +153,8 @@ class TestCmcCurve:
         gallery = {1: [np.ones(2)], 2: [np.full(2, 2.0)]}
         if where != "probe":
             gallery[1 if where == "true identity" else 2] = [np.array([0.0, bad])]
-        for aggregate in ("min", "mean"):
-            with pytest.raises(NonFiniteFeature):
-                cmc_curve([(probe, 1)], gallery, aggregate)
+        with pytest.raises(NonFiniteFeature):
+            cmc_curve([(probe, 1)], gallery)
 
     def test_uneven_gallery_names_identity(self):
         gallery = {1: [np.zeros(2), np.ones(2)], 2: [np.zeros(2)], 3: [np.ones(2)] * 2}
@@ -224,7 +187,7 @@ def setup():
         input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2))
     )
     params = init_params(arch, 4, 9)
-    samples = combine(samples, z)
+    samples = samples + z
     return extract_features(params, [preprocess_image(s.image, arch) for s in samples]), samples
 
 
@@ -290,24 +253,21 @@ class TestEvaluate:
             assert draw == tuple((i, tuple(s.id for s in m)) for i, m in sorted(pg.gallery.items()))
             assert rep.probe_ids == tuple(s.id for s in pg.probes)
 
-    @pytest.mark.parametrize("aggregate", ["min", "mean"])
-    def test_equals_per_trial_replay(self, aggregate):
-        # small-integer features tie often, so the order in which an
-        # identity's 9 distances are added decides some ranks: a mean that
-        # summed the shot axis pairwise would not match the loop reference;
-        # 2-d features sum in plain order, so that reference is exact
+    def test_equals_per_trial_replay(self):
+        # small-integer features tie often, so the lower-label rule decides
+        # many ranks; 2-d features keep the loop reference's distances exact
         from occreid.dataset import make_probe_gallery
         from occreid.rng import derive_seed
 
         samples = generate_synthetic_dataset(6, 10, 16, 24, SplitMix64(4))
         z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=2))
-        samples = combine(samples, z)
+        samples = samples + z
         shots = (1, 2, 5, 9)
         for feature_seed in range(4):
             gen = np.random.Generator(np.random.PCG64(feature_seed))
             feats = gen.integers(0, 3, (len(samples), 2)).astype(np.float64)
             feat_of = {s.id: feats[i] for i, s in enumerate(samples)}
-            reports = evaluate(feats, samples, shots, trials=3, seed=11, aggregate=aggregate)
+            reports = evaluate(feats, samples, shots, trials=3, seed=11)
             assert list(reports) == list(shots)
             for n in shots:
                 curves = []
@@ -316,8 +276,8 @@ class TestEvaluate:
                     pg = make_probe_gallery(samples, n, rng)
                     gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
                     probes = [(feat_of[s.id], s.identity) for s in pg.probes]
-                    curves.append(cmc_curve(probes, gallery, aggregate).cmc)
-                    assert list(curves[-1]) == sequential_cmc(probes, gallery, aggregate)
+                    curves.append(cmc_curve(probes, gallery).cmc)
+                    assert list(curves[-1]) == brute_force_cmc(probes, gallery)
                 want = tuple(float(v) for v in np.mean(curves, axis=0))
                 assert reports[n].cmc == want, (feature_seed, n)
 

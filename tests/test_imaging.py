@@ -102,6 +102,32 @@ class TestCodec:
         img = load_image(p)
         assert img.pixels.reshape(-1).tolist() == [1, 2]
 
+    def test_maxval_one_reads_as_zero_and_255(self, tmp_path):
+        p = tmp_path / "m.mask.pgm"
+        p.write_bytes(b"P5\n4 1\n1\n\x00\x01\x01\x00")
+        assert load_image(p).pixels.reshape(-1).tolist() == [0, 255, 255, 0]
+
+    def test_samples_scale_half_up_from_maxval(self, tmp_path):
+        # v * 255 / maxval rounded half up; 255 / 2 = 127.5 -> 128
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n3 1\n2\n\x00\x01\x02")
+        assert load_image(p).pixels.reshape(-1).tolist() == [0, 128, 255]
+        p.write_bytes(b"P6\n1 1\n100\n\x00\x32\x64")
+        assert load_image(p).pixels.reshape(-1).tolist() == [0, 128, 255]
+
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            pytest.param(b"P5\n2 1\n1\n", b"\x01\x02", id="2 in a maxval-1 PGM"),
+            pytest.param(b"P6\n1 1\n200\n", b"\x00\xc9\x00", id="201 in a maxval-200 PPM"),
+        ],
+    )
+    def test_sample_above_maxval(self, tmp_path, header, payload):
+        p = tmp_path / "x.pnm"
+        p.write_bytes(header + payload)
+        with pytest.raises(CorruptData, match=f"{re.escape(str(p))}: sample {max(payload)} above"):
+            load_image(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ppm"
         p.write_bytes(b"P3\n1 1\n255\n000")

@@ -18,6 +18,7 @@ from occreid.model import (
     FORWARD_CHUNK,
     ArchSpec,
     ConvSpec,
+    ForwardTrace,
     TrainConfig,
     _col2im,
     _im2col,
@@ -28,11 +29,9 @@ from occreid.model import (
     backward,
     extract_features,
     forward,
-    id_loss,
     init_params,
     load_checkpoint,
     multi_task_loss,
-    obc_loss,
     preprocess_image,
     preprocess_images,
     save_checkpoint,
@@ -143,7 +142,7 @@ class TestForward:
         params0 = _params_from_dict(TINY, zeros)
         trace = forward(params0, rand_batch(2))
         assert np.allclose(trace.id_logits, 0.0)
-        assert id_loss(trace.id_logits[0], 0) == pytest.approx(math.log(3))
+        assert losses_of(trace.id_logits[0], 0)[0] == pytest.approx(math.log(3))
 
     def test_single_conv_matches_direct_convolution(self):
         arch = ArchSpec(input_side=8, resize_side=8, in_channels=3, convs=(ConvSpec(4, 3, 2),))
@@ -178,47 +177,53 @@ class TestForward:
         assert np.array_equal(a.feature, b.feature)
 
 
+def losses_of(id_logits, label, obc_logits=(0.0, 0.0), flag=0):
+    """_mean_losses on a batch of one: (identity loss, OBC loss)."""
+    trace = ForwardTrace(
+        (), (), (), np.zeros((1, 1)), np.array([id_logits], float), np.array([obc_logits], float)
+    )
+    return _mean_losses(trace, np.array([label]), np.array([flag]))
+
+
 class TestLosses:
     def test_id_loss_uniform(self):
-        assert id_loss(np.zeros(4), 2) == pytest.approx(1.3862943611198906, abs=1e-12)
+        assert losses_of(np.zeros(4), 2)[0] == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_id_loss_saturated(self):
-        assert id_loss(np.array([1000.0, 0.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-9)
+        assert losses_of([1000.0, 0.0, 0.0], 0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_id_loss_log_sum_exp_oracle(self):
         # -log softmax([1,2,3])[1] = log(e + e^2 + e^3) - 2, frozen below
-        val = id_loss(np.array([1.0, 2.0, 3.0]), 1)
+        val = losses_of([1.0, 2.0, 3.0], 1)[0]
         assert val == pytest.approx(1.4076059644443801, abs=1e-12)
         assert val == pytest.approx(
             math.log(math.exp(1) + math.exp(2) + math.exp(3)) - 2.0, abs=1e-12
         )
 
     def test_id_loss_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
-            id_loss(np.zeros(3), 3)
-        with pytest.raises(LabelOutOfRange):
-            id_loss(np.zeros(3), -1)
+        # the gradient refuses a label outside the K classes, on a batch of one
+        params = tiny_params()
+        trace = forward(params, rand_batch(1))
+        for label in (3, -1):
+            with pytest.raises(LabelOutOfRange):
+                backward(trace, params, np.array([label]), np.array([0]), 0.8)
 
     def test_id_loss_positive_unless_point_mass(self):
         gen = np.random.Generator(np.random.PCG64(4))
         for _ in range(50):
             logits = gen.normal(0, 3, 5)
-            assert id_loss(logits, int(gen.integers(0, 5))) > 0.0
+            assert losses_of(logits, int(gen.integers(0, 5)))[0] > 0.0
 
     def test_obc_loss_uniform(self):
-        assert obc_loss(np.zeros(2), 0) == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert losses_of([0.0], 0, (0.0, 0.0), 0)[1] == pytest.approx(
+            0.6931471805599453, abs=1e-12
+        )
 
     def test_obc_loss_oracle(self):
         # -log softmax([0.5, -0.5])[0] = log(1 + e^-1), frozen below
-        val = obc_loss(np.array([0.5, -0.5]), 0)
+        val = losses_of([0.0], 0, (0.5, -0.5), 0)[1]
         assert val == pytest.approx(0.31326168751822286, abs=1e-12)
         assert val == pytest.approx(math.log(1 + math.exp(-1.0)), abs=1e-12)
-
-    def test_obc_flag_validation(self):
-        with pytest.raises(ValueError):
-            obc_loss(np.zeros(2), 2)
-        with pytest.raises(ShapeMismatch):
-            obc_loss(np.zeros(3), 0)
 
     def test_multi_task_boundaries(self):
         assert multi_task_loss(1.7, 0.3, 1.0) == 1.7

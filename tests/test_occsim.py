@@ -7,8 +7,7 @@ from occreid.imaging import Image, Rect, crop, resize
 from occreid.occsim import (
     OcclusionConfig,
     build_occlusion_set,
-    combine,
-    sample_background_patch,
+    check_target_fits,
     sample_occluded_rect,
     simulate_occlusion,
 )
@@ -85,20 +84,36 @@ class TestSampleOccludedRect:
             sample_occluded_rect(64, 32, cfg, SplitMix64(0))
 
 
+class TestCheckTargetFits:
+    @pytest.mark.parametrize("w, h", [(16, 24), (32, 64), (64, 32)])
+    def test_agrees_with_the_sampler_on_one_area_and_aspect(self, w, h):
+        # pinned area and aspect: the sampler draws exactly the rectangle
+        # the check rounds, so it fits exactly when the check passes
+        for ratio in (0.05, 0.1, 0.3, 0.6, 0.9):
+            for aspect in (0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0, 20.0):
+                cfg = OcclusionConfig(8, ratio, ratio, aspect, aspect)
+                try:
+                    check_target_fits(cfg, w, h)
+                    fits = True
+                except InfeasibleGeometry:
+                    fits = False
+                try:
+                    sample_occluded_rect(w, h, cfg, SplitMix64(0))
+                    drawn = True
+                except InfeasibleGeometry:
+                    drawn = False
+                assert fits == drawn, (ratio, aspect)
+
+
 class TestBackgroundPatch:
     def test_band_quarter_forces_top_row(self):
         # 32 px tall, band 0.25 -> 8 px band; an 8 px patch can only sit at y=0
         img = noise_image(64, 32)
         cfg = OcclusionConfig(patch_side=8, background_band=0.25)
-        rng = SplitMix64(13)
-        for _ in range(100):
-            patch = sample_background_patch(img, cfg, rng)
-            assert (patch.width, patch.height) == (8, 8)
-        # verify via simulate records that y is always 0
-        for i in range(50):
+        for i in range(100):
             _, rec = simulate_occlusion(img, cfg, SplitMix64(i))
+            assert (rec.patch_rect.w, rec.patch_rect.h) == (8, 8)
             assert rec.patch_rect.y == 0
-            assert rec.patch_rect.y + rec.patch_rect.h <= 8
 
     def test_full_band_reaches_lower_rows(self):
         img = noise_image(64, 32)
@@ -109,8 +124,8 @@ class TestBackgroundPatch:
     def test_patch_taller_than_image(self):
         img = noise_image(64, 32)
         cfg = OcclusionConfig(patch_side=33, background_band=1.0)
-        with pytest.raises(InfeasibleGeometry):
-            sample_background_patch(img, cfg, SplitMix64(0))
+        with pytest.raises(InfeasibleGeometry, match="patch_side 33"):
+            simulate_occlusion(img, cfg, SplitMix64(0))
 
 
 class TestSimulateOcclusion:
@@ -193,23 +208,10 @@ class TestBuildOcclusionSet:
         with pytest.raises(InfeasibleGeometry, match=source[0].id):
             build_occlusion_set(source, cfg)
 
-
-class TestCombine:
-    def test_concatenation(self):
-        x = generate_synthetic_dataset(3, 2, 16, 32, SplitMix64(2))
-        z, _ = build_occlusion_set(x, OcclusionConfig(patch_side=8, seed=1))
-        o = combine(x, z)
-        assert len(o) == len(x) + len(z) == 12
-
-    def test_combine_with_empty(self):
-        x = generate_synthetic_dataset(2, 2, 16, 32, SplitMix64(2))
-        assert combine(x, []) == list(x)
-
     def test_every_sample_traceable_by_id(self):
         x = generate_synthetic_dataset(3, 2, 16, 32, SplitMix64(3))
         z, _ = build_occlusion_set(x, OcclusionConfig(patch_side=8, seed=1))
-        o = combine(x, z)
-        ids = [s.id for s in o]
+        ids = [s.id for s in x + z]
         assert len(set(ids)) == len(ids)
         x_ids, z_ids = {s.id for s in x}, {s.id for s in z}
         for sid in ids:

@@ -255,7 +255,6 @@ class TestArrayPathMatchesImageReference:
                 save_image(Image(mask), d / f"{j}.mask.pgm")
         cfg = tiny_cfg()
         cfg.dataset.root = str(root)
-        cfg.saliency.quantile = 0.3
         return cfg
 
     def test_eval_and_saliency_precision(self, tmp_path):
@@ -276,7 +275,7 @@ class TestArrayPathMatchesImageReference:
 
         feats = extract_features(params, prepped)
         seed = derive_seed(cfg.run.seed, TAG_EVAL)
-        want = evaluate(feats, data.test_samples, (1,), cfg.eval.trials, seed, cfg.eval.aggregate)
+        want = evaluate(feats, data.test_samples, (1,), cfg.eval.trials, seed)
         assert evaluate_model(cfg, params, data)[1] == want[1]
 
         run_saliency(cfg, ckpt, tmp_path / "out")
@@ -289,8 +288,39 @@ class TestArrayPathMatchesImageReference:
             mask = preprocess_image(load_image(mask_path), arch)
             near |= set(np.unique(mask.pixels))
             body = Image(np.where(mask.pixels > 127, 255, 0).astype(np.uint8))
-            assert got[s.id] == repr(detection_precision(binarize(smap, 0.3), body)), s.id
+            assert got[s.id] == repr(detection_precision(binarize(smap), body)), s.id
         assert {127, 128} <= near
+
+
+class TestMaskMaxval:
+    def test_binary_mask_gives_the_precision_of_its_255_copy(self, tmp_path):
+        # the same body rectangle saved at maxval 255 and at maxval 1
+        from occreid.dataset import generate_synthetic_dataset
+        from occreid.imaging import save_image
+        from occreid.rng import SplitMix64
+
+        root = tmp_path / "data"
+        body = np.zeros((24, 16, 1), np.uint8)
+        body[6:23, 3:13] = 1
+        for s in generate_synthetic_dataset(4, 3, 16, 24, SplitMix64(2)):
+            j = int(s.id.rsplit("_", 1)[1])
+            for branch in ("whole", "occluded") if j < 2 else ("whole",):
+                d = root / branch / f"{s.identity:03d}"
+                d.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, d / f"{j}.ppm")
+        cfg = tiny_cfg()
+        cfg.dataset.root = str(root)
+        ckpt = tmp_path / "c.bin"
+        save_checkpoint(train_model(cfg)[0], ckpt)
+        tables = []
+        for maxval in (255, 1):
+            header = b"P5\n16 24\n%d\n" % maxval
+            for image in root.rglob("*.ppm"):
+                image.with_suffix(".mask.pgm").write_bytes(header + (body * maxval).tobytes())
+            summary = run_saliency(cfg, ckpt, tmp_path / f"out{maxval}")
+            assert summary["model"]["mean_precision"] > 0.0
+            tables.append((tmp_path / f"out{maxval}" / "precision_model.tsv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestSaliencyComparison:
