@@ -58,7 +58,8 @@ class NonFiniteGradient(OccReidError):
 
 
 class NonFiniteParameter(OccReidError):
-    """A weight is NaN or Inf, or overflows float32 when checkpointed."""
+    """A weight is NaN or Inf after an SGD step, or overflows float32 when
+    checkpointed."""
 
 
 class NonFiniteFeature(OccReidError):

@@ -6,7 +6,10 @@ linear heads sit on top: a K-way identity classifier and a 2-way
 occluded/non-occluded classifier. The training objective is the weighted
 sum alpha * identity_loss + (1 - alpha) * occlusion_loss, minimized by
 plain SGD. Forward, backward and the update are written out by hand on
-numpy arrays in float64; checkpoints store float32.
+numpy arrays and compute in the dtype of the parameters: training runs in
+float32 from float32-exact initial weights, while evaluation, saliency and
+the gradient checks run in float64. Checkpoints store float32, so a trained
+model loses nothing when saved.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors, kept in float64; immutable by convention
-    (updates build a new instance)."""
+    """All learnable tensors, all of one float dtype (float32 inside train,
+    float64 everywhere else); immutable by convention (updates build a new
+    instance)."""
 
     arch: ArchSpec
     conv_w: tuple
@@ -179,8 +183,15 @@ def _param_shapes(arch: ArchSpec, num_classes: int) -> list:
     ]
 
 
+def _cast(params: ModelParams, dtype) -> ModelParams:
+    return _params_from_dict(params.arch, {name: a.astype(dtype) for name, a in params.tensors()})
+
+
 def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
-    """He-style uniform init, bound sqrt(6 / fan_in); biases start at zero."""
+    """He-style uniform init, bound sqrt(6 / fan_in); biases start at zero.
+
+    Each float64 draw is rounded through float32, so the float64 arrays
+    returned cast to float32 and back without change."""
     if num_classes < 2:
         raise ValueError(f"need >= 2 identity classes, got {num_classes}")
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -190,13 +201,13 @@ def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
             tensors[name] = np.zeros(shape)
         else:
             bound = np.sqrt(6.0 / math.prod(shape[1:]))
-            tensors[name] = gen.uniform(-bound, bound, shape)
+            tensors[name] = gen.uniform(-bound, bound, shape).astype(np.float32).astype(np.float64)
     return _params_from_dict(arch, tensors)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))  # zero-bordered copy of the input
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), x.dtype)  # zero-bordered copy of the input
     xp[:, :, pad : pad + h, pad : pad + w] = x
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
@@ -213,7 +224,7 @@ def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
     dwin = dcols.reshape(b, c, k, k, oh, ow)
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dcols.dtype)
     for i in range(k):
         for j in range(k):
             dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dwin[
@@ -225,10 +236,11 @@ def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.nda
 def forward(params: ModelParams, batch) -> ForwardTrace:
     """Run the trunk and both heads, retaining per-layer state for backward.
 
-    batch is (B, C, S, S) float64 in [0, 1]; a single (C, S, S) array is
-    promoted to a batch of one.
+    batch is (B, C, S, S) in [0, 1], cast to the parameters' dtype, which
+    every later array keeps; a single (C, S, S) array is promoted to a batch
+    of one.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=params.id_w.dtype)
     if x.ndim == 3:
         x = x[None]
     arch = params.arch
@@ -327,20 +339,30 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
 
 
 def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
-    """p <- p - lr * g for every tensor; plain SGD, no momentum."""
+    """p <- p - lr * g for every tensor, in the parameters' dtype; plain
+    SGD, no momentum. Raises NonFiniteGradient for a NaN or inf gradient
+    and NonFiniteParameter for an update that leaves one in a weight."""
     updated = {}
     for name, arr in params.tensors():
         g = grads[name]
         if g.shape != arr.shape:
             raise ShapeMismatch(f"{name}: gradient shape {g.shape} != param shape {arr.shape}")
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"{name} gradient is not finite")
-        updated[name] = arr - lr * g
+            raise NonFiniteGradient(f"{name} gradient is not finite in {g.dtype}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            updated[name] = arr - lr * g
+        if not np.all(np.isfinite(updated[name])):
+            raise NonFiniteParameter(f"{name} is not finite in {arr.dtype} after the update")
     return _params_from_dict(params.arch, updated)
 
 
 def train(samples, cfg: TrainConfig, occlusions=None):
     """SGD over the sample set with jittered center-crop augmentation.
+
+    Every step runs in float32: the float32-exact initial weights are cast
+    down once, and each batch is converted straight to float32. The
+    returned params are float64 arrays holding float32 values, so a
+    checkpoint of them stores them exactly.
 
     The resized set is stacked once as an (N, R, R, C) uint8 array; each
     batch gathers its crops from a window view of it in one indexing step
@@ -366,7 +388,7 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     n = len(samples)
     identities = sorted({s.identity for s in samples})
     label_of = {ident: i for i, ident in enumerate(identities)}
-    params = init_params(arch, len(identities), derive_seed(cfg.seed, 0))
+    params = _cast(init_params(arch, len(identities), derive_seed(cfg.seed, 0)), np.float32)
     jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
     side = arch.resize_side
     copies = 1 if occlusions is None else 2  # rows n: hold the occluded half, rewritten per epoch
@@ -400,7 +422,8 @@ def train(samples, cfg: TrainConfig, occlusions=None):
         shift = np.zeros((len(batch), 2), dtype=np.int64)
         if jitter:
             shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]
-        trace = forward(params, _to_input(crops[batch, center + shift[:, 1], center + shift[:, 0]]))
+        pixels = crops[batch, center + shift[:, 1], center + shift[:, 0]]
+        trace = forward(params, _to_input(pixels, np.float32))
         lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
         history.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
         grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
@@ -409,9 +432,9 @@ def train(samples, cfg: TrainConfig, occlusions=None):
             lr *= LR_DECAY_FACTOR ** (it // cfg.lr_decay_every)
         try:
             params = sgd_step(params, grads, lr)
-        except NonFiniteGradient as e:
-            raise NonFiniteGradient(f"iteration {it}: {e}") from e
-    return params, history
+        except (NonFiniteGradient, NonFiniteParameter) as e:
+            raise type(e)(f"iteration {it}: {e}") from e
+    return _cast(params, np.float64), history
 
 
 def _resize_into(out: np.ndarray, named_images, side: int, crop=slice(None)) -> None:
@@ -441,9 +464,11 @@ def preprocess_image(image: Image, arch: ArchSpec) -> Image:
     return Image(preprocess_images([image], arch)[0])
 
 
-def _to_input(pixels: np.ndarray) -> np.ndarray:
-    """(B, C, S, S) uint8 pixels -> float64 network input in [0, 1]."""
-    return pixels.astype(np.float64) / 255.0
+def _to_input(pixels: np.ndarray, dtype) -> np.ndarray:
+    """(B, C, S, S) uint8 pixels -> network input in [0, 1], computed in
+    dtype; in float32 every value equals the float64 v / 255 rounded to
+    float32."""
+    return pixels.astype(dtype) / 255
 
 
 def forward_images(params: ModelParams, images):
@@ -455,7 +480,7 @@ def forward_images(params: ModelParams, images):
         pixels = np.asarray(images[i : i + FORWARD_CHUNK])
         if pixels.shape[1:] != want:
             raise ShapeMismatch(f"expected (N, H, W, C) input, (H, W, C) = {want}, got {pixels.shape}")
-        yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2)))
+        yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2), params.id_w.dtype))
 
 
 def extract_features(params: ModelParams, images) -> np.ndarray:
@@ -480,14 +505,6 @@ def _float32_tensors(params: ModelParams) -> list:
             )
         out.append((name, narrow))
     return out
-
-
-def to_checkpoint_precision(params: ModelParams) -> ModelParams:
-    """Round every tensor through float32, exactly as a checkpoint
-    save/load does, so in-memory and on-disk paths evaluate identically."""
-    return _params_from_dict(
-        params.arch, {name: arr.astype(np.float64) for name, arr in _float32_tensors(params)}
-    )
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

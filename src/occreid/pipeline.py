@@ -34,6 +34,7 @@ from .dataset import (
     scan_dataset,
     split_identities,
 )
+from .errors import InfeasibleGeometry
 from .evaluate import EvalReport, evaluate
 from .fileio import write_lines
 from .imaging import Image, load_image, save_image
@@ -43,10 +44,9 @@ from .model import (
     load_checkpoint,
     preprocess_images,
     save_checkpoint,
-    to_checkpoint_precision,
     train,
 )
-from .occsim import build_occlusion_set
+from .occsim import build_occlusion_set, check_patch_fits, check_target_fits
 from .rng import SplitMix64, derive_seed
 from .saliency import binarize, detection_precision, saliency_maps
 from .svgplot import line_plot
@@ -75,10 +75,36 @@ class ExperimentData:
     test_samples: list
 
 
+def _check_scanned_fits(cfg: ExperimentConfig, samples: list) -> None:
+    """The occlusion fit checks load_config runs on synthetic images, run on
+    each distinct full-body size of a scanned dataset for both simulator
+    configs. A band whose smallest target does not fit is a config error
+    (ValueError); a patch too large for an image's background band is a
+    data error (InfeasibleGeometry). Both name the first image of the size."""
+    sizes = {}
+    for s in samples:
+        if s.occlusion is Occlusion.FULL_BODY:
+            sizes.setdefault((s.image.width, s.image.height), s.id)
+    for name, build in (("", occlusion_config), ("probe_band: ", probe_occlusion_config)):
+        occ = build(cfg, 0)
+        for (w, h), sample_id in sizes.items():
+            try:
+                check_target_fits(occ, w, h)
+            except InfeasibleGeometry as e:
+                where = Path(cfg.dataset.root) / sample_id
+                raise ValueError(f"[occlusion] {name}{e}: {where}") from e
+            try:
+                check_patch_fits(occ, w, h)
+            except InfeasibleGeometry as e:
+                raise InfeasibleGeometry(f"sample {sample_id}: {name}{e}") from e
+
+
 def load_samples(cfg: ExperimentConfig) -> list:
     ds = cfg.dataset
     if ds.root:
-        return scan_dataset(ds.root)
+        samples = scan_dataset(ds.root)
+        _check_scanned_fits(cfg, samples)
+        return samples
     rng = SplitMix64(derive_seed(cfg.run.seed, TAG_DATA))
     return generate_synthetic_dataset(
         ds.identities, ds.per_identity, ds.image_width, ds.image_height, rng
@@ -268,12 +294,13 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
 def train_and_eval(cfg: ExperimentConfig, data: ExperimentData | None = None) -> dict:
     """In-memory train plus eval under cfg's switches; keyed by shot count.
 
-    Parameters are rounded through checkpoint precision first, so the
-    result matches a train command followed by an eval of its checkpoint.
+    train returns float32-exact parameters, which a checkpoint stores
+    exactly, so the result matches a train command followed by an eval of
+    its checkpoint.
     """
     data = data or prepare_experiment(cfg)
     params, _ = train_model(cfg, data)
-    return evaluate_model(cfg, to_checkpoint_precision(params), data)
+    return evaluate_model(cfg, params, data)
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:

@@ -640,6 +640,33 @@ class TestExitCodes:
         assert "data error" in err and "patch_side 10" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_band_no_scanned_image_holds_is_a_config_error(self, tmp_path, capsys, command):
+        # the image size of a scanned dataset is known only after the scan;
+        # the band is checked against it there, before any draw or write
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            p = root / "whole" / f"{s.identity:03d}"
+            p.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, p / f"{s.id}.ppm")
+        (root / "occluded").mkdir()
+        cfg = tmp_path / "cfg.ini"
+        text = TINY_CONFIG.replace("[dataset]", f"[dataset]\nroot = {root}")
+        cfg.write_text(text.replace("patch_side = 6", "patch_side = 6\naspect_hi = 1e300"), "utf-8")
+        out = tmp_path / "out"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "eval":
+            from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+
+            arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+            save_checkpoint(init_params(arch, 2, 0), tmp_path / "c.bin")
+            args += ["--checkpoint", str(tmp_path / "c.bin")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "config error: [occlusion] aspect_hi 1e+300" in err and "16x24 image" in err
+        assert str(sorted(root.glob("whole/*/*.ppm"))[0]) in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "report", "sweep-alpha"])
     def test_gray_image_among_colour_training_images_writes_nothing(self, tmp_path, capsys, command):
         # one whole/ image of a training identity is a 1-channel PGM
@@ -675,8 +702,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_numeric_failure_float32_overflow(self, tmp_path, capsys):
-        # the default config at this rate keeps finite float64 gradients but
-        # drives a bias past the float32 range; train must not save it as inf
+        # the default config at this rate leaves the float32 range within a
+        # few steps; training checks gradients and weights after every step,
+        # so the run stops there, naming the dtype, before anything is written
         cfg = tmp_path / "diverge.ini"
         cfg.write_text("[train]\nlearning_rate = 1e6\niterations = 50\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -684,6 +712,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric failure" in err and "float32" in err
         assert not (out / "train" / "checkpoint.bin").exists()
+        assert not (out / "train").exists() or not any((out / "train").iterdir())
 
     def test_env_var_out_dir(self, tmp_path, config_path, monkeypatch):
         env_out = tmp_path / "env_out"

@@ -351,3 +351,20 @@ class TestSaliencyComparison:
         a = evaluate_model(cfg, loaded, data)
         b = evaluate_model(cfg, loaded, data)
         assert a[1] == b[1]
+
+
+class TestTrainAndEval:
+    def test_in_memory_eval_matches_the_checkpoint_path(self, tmp_path):
+        # train_and_eval evaluates train's float32-exact params as they are;
+        # a train command followed by an eval of its checkpoint must agree
+        cfg = tiny_cfg()
+        cfg.eval.shots = (1, 2)
+        cfg.occlusion.regenerate_per_epoch = True
+        in_memory = pipeline.train_and_eval(cfg)
+        ckpt = pipeline.run_train(cfg, tmp_path / "train")
+        on_disk = pipeline.run_eval(cfg, ckpt, tmp_path / "eval")
+        assert sorted(in_memory) == sorted(on_disk) == [1, 2]
+        for n, rep in in_memory.items():
+            other = on_disk[n]
+            assert list(rep.cmc) == list(other.cmc), n
+            assert (rep.rank1, rep.rank5, rep.rank10) == (other.rank1, other.rank5, other.rank10), n
