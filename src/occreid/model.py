@@ -10,6 +10,14 @@ numpy arrays and compute in the dtype of the parameters: training runs in
 float32 from float32-exact initial weights, while evaluation, saliency and
 the gradient checks run in float64. Checkpoints store float32, so a trained
 model loses nothing when saved.
+
+Inside the trunk every activation is stored channel-major with the batch
+innermost, (C, H, W, B), as in cuda-convnet. im2col then copies runs of B
+contiguous values, each convolution is one (O, C*k*k) x (C*k*k, oh*ow*B)
+GEMM whose output is already the next layer's (O, oh, ow, B) input, the
+weight gradient is one GEMM over batch and positions together, and col2im
+adds k*k blocks whose inner B axis is contiguous. Batches enter as
+(B, C, S, S) and features leave as (B, D); only the trunk uses the layout.
 """
 
 from __future__ import annotations
@@ -147,7 +155,12 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything backward and the saliency map need from one forward pass."""
+    """Everything backward and the saliency map need from one forward pass.
+
+    cols[l] is layer l's (C*k*k, oh*ow*B) im2col matrix; preacts[l] and
+    acts[l] are its (O, oh, ow, B) pre- and post-ReLU maps, in the trunk's
+    batch-innermost layout. last_maps gives the last acts batch-first.
+    """
 
     cols: list
     preacts: list
@@ -158,7 +171,8 @@ class ForwardTrace:
 
     @property
     def last_maps(self) -> np.ndarray:
-        return self.acts[-1]
+        """The last conv layer's activations as a contiguous (B, C, h, w) array."""
+        return _batch_major(self.acts[-1])
 
 
 def _params_from_dict(arch: ArchSpec, tensors: dict) -> ModelParams:
@@ -206,31 +220,37 @@ def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), x.dtype)  # zero-bordered copy of the input
-    xp[:, :, pad : pad + h, pad : pad + w] = x
+    """(C, H, W, B) activations -> (C*k*k, oh*ow*B) columns, rows ordered
+    (c, i, j) like a flattened weight and columns (y, x, b) like the output."""
+    c, h, w, b = x.shape
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b), x.dtype)  # zero-bordered copy of the input
+    xp[:, pad : pad + h, pad : pad + w] = x
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    sb, sc, sh, sw = xp.strides
+    sc, sh, sw, sb = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (b, c, oh, ow, k, k), (sb, sc, sh * stride, sw * stride, sh, sw)
+        xp, (c, k, k, oh, ow, b), (sc, sh, sw, sh * stride, sw * stride, sb)
     )
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * k * k, oh * ow)
-    return cols, oh, ow
+    return np.ascontiguousarray(windows).reshape(c * k * k, oh * ow * b), oh, ow
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
-    b, c, h, w = x_shape
+    """Adjoint of _im2col: scatter-add (C*k*k, oh*ow*B) columns back onto
+    the (C, H, W, B) input."""
+    c, h, w, b = x_shape
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    dwin = dcols.reshape(b, c, k, k, oh, ow)
-    dxp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dcols.dtype)
+    dwin = dcols.reshape(c, k, k, oh, ow, b)
+    dxp = np.zeros((c, h + 2 * pad, w + 2 * pad, b), dcols.dtype)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dwin[
-                :, :, i, j
-            ]
-    return dxp[:, :, pad : pad + h, pad : pad + w] if pad else dxp
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dwin[:, i, j]
+    return dxp[:, pad : pad + h, pad : pad + w] if pad else dxp
+
+
+def _batch_major(maps: np.ndarray) -> np.ndarray:
+    """(C, h, w, B) trunk maps -> a contiguous (B, C, h, w) copy."""
+    return np.ascontiguousarray(maps.transpose(3, 0, 1, 2))
 
 
 def forward(params: ModelParams, batch) -> ForwardTrace:
@@ -253,16 +273,16 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
             f"got {x.shape}"
         )
     cols_list, preacts, acts = [], [], []
-    a = x
+    a = x.transpose(1, 2, 3, 0)  # (C, S, S, B): the trunk keeps the batch innermost
     for spec, w, b in zip(arch.convs, params.conv_w, params.conv_b):
         cols, oh, ow = _im2col(a, spec.kernel, spec.stride, spec.kernel // 2)
-        z = np.matmul(w.reshape(spec.out_channels, -1), cols) + b[:, None]
-        z = z.reshape(a.shape[0], spec.out_channels, oh, ow)
+        z = w.reshape(spec.out_channels, -1) @ cols + b[:, None]
+        z = z.reshape(spec.out_channels, oh, ow, x.shape[0])
         cols_list.append(cols)
         preacts.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
-    feature = a.mean(axis=(2, 3))
+    feature = _batch_major(a).mean(axis=(2, 3))
     id_logits = feature @ params.id_w.T + params.id_b
     obc_logits = feature @ params.obc_w.T + params.obc_b
     return ForwardTrace(cols_list, preacts, acts, feature, id_logits, obc_logits)
@@ -317,23 +337,18 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
     grads["obc.b"] = g_obc.sum(axis=0)
 
     d_act = g_id @ params.id_w + g_obc @ params.obc_w  # (B, D)
-    last = trace.acts[-1]
-    d_act = d_act[:, :, None, None] / (last.shape[2] * last.shape[3])
-    d_act = np.broadcast_to(d_act, last.shape)
+    last = trace.acts[-1]  # (D, h, w, B)
+    d_act = np.broadcast_to(d_act.T[:, None, None, :] / (last.shape[1] * last.shape[2]), last.shape)
     arch = params.arch
     for layer in reversed(range(len(arch.convs))):
         spec = arch.convs[layer]
-        w = params.conv_w[layer]
-        dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0)
-        dz_flat = dz.reshape(b, spec.out_channels, -1)
-        grads[f"conv{layer}.w"] = (
-            np.matmul(dz_flat, trace.cols[layer].transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-        )
-        grads[f"conv{layer}.b"] = dz_flat.sum(axis=(0, 2))
+        w = params.conv_w[layer].reshape(spec.out_channels, -1)
+        dz = (d_act * (trace.preacts[layer] > 0.0)).reshape(spec.out_channels, -1)
+        grads[f"conv{layer}.w"] = (dz @ trace.cols[layer].T).reshape(params.conv_w[layer].shape)
+        grads[f"conv{layer}.b"] = dz.sum(axis=1)
         if layer > 0:
-            dcols = np.matmul(w.reshape(spec.out_channels, -1).T, dz_flat)
             d_act = _col2im(
-                dcols, trace.acts[layer - 1].shape, spec.kernel, spec.stride, spec.kernel // 2
+                w.T @ dz, trace.acts[layer - 1].shape, spec.kernel, spec.stride, spec.kernel // 2
             )
     return grads
 
@@ -347,11 +362,13 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
         g = grads[name]
         if g.shape != arr.shape:
             raise ShapeMismatch(f"{name}: gradient shape {g.shape} != param shape {arr.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"{name} gradient is not finite in {g.dtype}")
         with np.errstate(over="ignore", invalid="ignore"):
             updated[name] = arr - lr * g
+        # lr >= 0 and finite weights: a non-finite gradient always leaves a
+        # non-finite update, so the gradient is scanned only to name the fault
         if not np.all(np.isfinite(updated[name])):
+            if not np.all(np.isfinite(g)):
+                raise NonFiniteGradient(f"{name} gradient is not finite in {g.dtype}")
             raise NonFiniteParameter(f"{name} is not finite in {arr.dtype} after the update")
     return _params_from_dict(params.arch, updated)
 
@@ -423,10 +440,12 @@ def train(samples, cfg: TrainConfig, occlusions=None):
         if jitter:
             shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]
         pixels = crops[batch, center + shift[:, 1], center + shift[:, 0]]
-        trace = forward(params, _to_input(pixels, np.float32))
-        lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
+        # a diverging run overflows here; sgd_step's checks report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = forward(params, _to_input(pixels, np.float32))
+            lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
+            grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
         history.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
-        grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
         lr = cfg.learning_rate
         if cfg.lr_decay_every > 0:
             lr *= LR_DECAY_FACTOR ** (it // cfg.lr_decay_every)

@@ -4,6 +4,7 @@ import io
 import re
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -704,11 +705,15 @@ class TestExitCodes:
     def test_numeric_failure_float32_overflow(self, tmp_path, capsys):
         # the default config at this rate leaves the float32 range within a
         # few steps; training checks gradients and weights after every step,
-        # so the run stops there, naming the dtype, before anything is written
+        # so the run stops there, naming the dtype, before anything is written;
+        # the overflow on the way there raises no numpy RuntimeWarning
         cfg = tmp_path / "diverge.ini"
         cfg.write_text("[train]\nlearning_rate = 1e6\niterations = 50\n", encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "numeric failure" in err and "float32" in err
         assert not (out / "train" / "checkpoint.bin").exists()

@@ -70,6 +70,11 @@ def conv_oracle(x, w, bias, stride, pad):
     return out
 
 
+def nchw(a):
+    """A trunk array of ForwardTrace, (C, H, W, B), viewed as (B, C, H, W)."""
+    return a.transpose(3, 0, 1, 2)
+
+
 def reference_init(arch, num_classes, seed):
     """init_params written out layer by layer: every conv weight in order,
     then id.w and obc.w, uniform in +-sqrt(6 / fan_in) from one PCG64
@@ -154,8 +159,8 @@ class TestForward:
         x = rand_batch(1, seed=3)
         trace = forward(params, x)
         expected = conv_oracle(x[0], params.conv_w[0], params.conv_b[0], 2, 1)
-        assert np.allclose(trace.preacts[0][0], expected, atol=1e-12)
-        assert np.allclose(trace.acts[0][0], np.maximum(expected, 0.0), atol=1e-12)
+        assert np.allclose(nchw(trace.preacts[0])[0], expected, atol=1e-12)
+        assert np.allclose(trace.last_maps[0], np.maximum(expected, 0.0), atol=1e-12)
 
     def test_stride_one_kernel_one(self):
         arch = ArchSpec(input_side=4, resize_side=4, in_channels=1, convs=(ConvSpec(2, 1, 1),))
@@ -164,7 +169,19 @@ class TestForward:
         x = gen.uniform(0, 1, (1, 1, 4, 4))
         trace = forward(params, x)
         expected = conv_oracle(x[0], params.conv_w[0], params.conv_b[0], 1, 0)
-        assert np.allclose(trace.preacts[0][0], expected, atol=1e-12)
+        assert np.allclose(nchw(trace.preacts[0])[0], expected, atol=1e-12)
+
+    def test_last_maps_match_chained_oracle_on_acceptance_arch(self):
+        arch = ArchSpec(32, 36, 3, (ConvSpec(16, 3, 2), ConvSpec(32, 3, 2), ConvSpec(64, 3, 2)))
+        params = shift_biases(arch, init_params(arch, 4, 7), seed=8)
+        x = rand_batch(3, seed=9, side=32)
+        maps = forward(params, x).last_maps
+        assert maps.shape == (3, 64, 4, 4)
+        for sample, got in zip(x, maps):
+            a = sample
+            for spec, w, bias in zip(arch.convs, params.conv_w, params.conv_b):
+                a = np.maximum(conv_oracle(a, w, bias, spec.stride, spec.kernel // 2), 0.0)
+            assert np.abs(got - a).max() <= 1e-12
 
     def test_shape_mismatch(self):
         params = tiny_params()
@@ -281,8 +298,8 @@ def shift_biases(arch, params, seed):
 
 
 def einsum_conv_grads(trace, params, labels, flags, alpha):
-    """Conv weight gradients with dW contracted over batch and positions by
-    one einsum, the form backward used before its batched matmul."""
+    """Conv weight gradients with dW contracted over positions and batch by
+    one einsum on the (C, H, W, B) trunk arrays."""
     b = len(labels)
     g_id = _softmax(trace.id_logits)
     g_id[np.arange(b), labels] -= 1.0
@@ -291,46 +308,62 @@ def einsum_conv_grads(trace, params, labels, flags, alpha):
     g_obc[np.arange(b), flags] -= 1.0
     g_obc *= (1.0 - alpha) / b
     last = trace.acts[-1]
-    d_act = (g_id @ params.id_w + g_obc @ params.obc_w)[:, :, None, None]
-    d_act = np.broadcast_to(d_act / (last.shape[2] * last.shape[3]), last.shape)
+    d_act = (g_id @ params.id_w + g_obc @ params.obc_w).T[:, None, None, :]
+    d_act = np.broadcast_to(d_act / (last.shape[1] * last.shape[2]), last.shape)
     grads = {}
     for layer in reversed(range(len(params.arch.convs))):
         spec, w = params.arch.convs[layer], params.conv_w[layer]
-        dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0).reshape(b, spec.out_channels, -1)
-        grads[f"conv{layer}.w"] = np.einsum("bfs,bcs->fc", dz, trace.cols[layer]).reshape(w.shape)
+        dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0).reshape(spec.out_channels, -1, b)
+        cols = trace.cols[layer].reshape(w[0].size, -1, b)
+        grads[f"conv{layer}.w"] = np.einsum("fsb,csb->fc", dz, cols).reshape(w.shape)
         if layer:
-            dcols = np.matmul(w.reshape(spec.out_channels, -1).T, dz)
+            dcols = w.reshape(spec.out_channels, -1).T @ dz.reshape(spec.out_channels, -1)
             shape = trace.acts[layer - 1].shape
             d_act = _col2im(dcols, shape, spec.kernel, spec.stride, spec.kernel // 2)
     return grads
 
 
 def pad_im2col(x, k, stride, pad):
-    """im2col over an np.pad copy of the input."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    b, c, hp, wp = xp.shape
+    """im2col of (C, H, W, B) x over an np.pad copy, one slice per kernel
+    offset: (C*k*k, oh*ow*B) columns."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    c, hp, wp, b = xp.shape
     oh = (hp - k) // stride + 1
     ow = (wp - k) // stride + 1
-    sb, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (b, c, oh, ow, k, k), (sb, sc, sh * stride, sw * stride, sh, sw)
-    )
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * k * k, oh * ow)
-    return cols, oh, ow
+    blocks = [
+        xp[:, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride]
+        for i in range(k)
+        for j in range(k)
+    ]
+    return np.stack(blocks, axis=1).reshape(c * k * k, oh * ow * b), oh, ow
+
+
+IM2COL_GEOMETRIES = [
+    (20, 3, 32, 32, 3, 2), (20, 16, 16, 16, 3, 2), (20, 32, 8, 8, 3, 2), (2, 3, 7, 5, 3, 1),
+    (3, 2, 9, 9, 5, 2), (1, 4, 6, 6, 1, 1), (2, 1, 4, 4, 7, 3), (1, 2, 1, 1, 3, 2),
+]
 
 
 class TestIm2col:
-    @pytest.mark.parametrize(
-        "b, c, h, w, k, stride",
-        [(20, 3, 32, 32, 3, 2), (20, 16, 16, 16, 3, 2), (20, 32, 8, 8, 3, 2), (2, 3, 7, 5, 3, 1),
-         (3, 2, 9, 9, 5, 2), (1, 4, 6, 6, 1, 1), (2, 1, 4, 4, 7, 3), (1, 2, 1, 1, 3, 2)],
-    )
+    @pytest.mark.parametrize("b, c, h, w, k, stride", IM2COL_GEOMETRIES)
     def test_matches_np_pad_reference(self, b, c, h, w, k, stride):
         x = np.random.Generator(np.random.PCG64(k * stride)).uniform(-1, 1, (b, c, h, w))
+        x = x.transpose(1, 2, 3, 0)
         cols, oh, ow = _im2col(x, k, stride, k // 2)
         ref, ref_oh, ref_ow = pad_im2col(x, k, stride, k // 2)
         assert (oh, ow) == (ref_oh, ref_ow)
         assert cols.shape == ref.shape and np.array_equal(cols, ref)
+
+    @pytest.mark.parametrize("b, c, h, w, k, stride", IM2COL_GEOMETRIES)
+    def test_col2im_is_the_adjoint(self, b, c, h, w, k, stride):
+        # <im2col(x), y> == <x, col2im(y)> for every x and y
+        gen = np.random.Generator(np.random.PCG64(k + 10 * stride))
+        x = gen.uniform(-1, 1, (c, h, w, b))
+        cols, _, _ = _im2col(x, k, stride, k // 2)
+        y = gen.uniform(-1, 1, cols.shape)
+        lhs = (cols * y).sum()
+        rhs = (x * _col2im(y, x.shape, k, stride, k // 2)).sum()
+        assert abs(lhs - rhs) <= 1e-12 * np.abs(cols * y).sum()
 
 
 class TestBackward:
