@@ -21,10 +21,8 @@ from .evaluate import EvalReport, cmc_curve, evaluate
 from .imaging import (
     Image,
     Rect,
-    crop,
     jittered_center_crop,
     load_image,
-    paste,
     resize,
     save_image,
 )

@@ -225,11 +225,7 @@ def _render_person(width, height, torso_rgb, legs_rgb, geo: SplitMix64, noise) -
 
 
 def generate_synthetic_dataset(
-    num_identities: int,
-    per_identity: int,
-    width: int = 32,
-    height: int = 64,
-    rng: SplitMix64 | None = None,
+    num_identities: int, per_identity: int, width: int, height: int, rng: SplitMix64
 ) -> list[PersonSample]:
     """Synthetic full-body persons: identity-specific torso and leg colours
     on noise backgrounds with pose jitter, plus coloured clutter in the top
@@ -242,7 +238,6 @@ def generate_synthetic_dataset(
         raise ValueError("need at least 2 identities with 2 images each")
     if width < 3:  # a clutter piece can be 3 pixels wide
         raise ValueError(f"synthetic images need a width of 3 or more, got {width}")
-    rng = rng or SplitMix64(0)
     samples = []
     for i in range(num_identities):
         id_rng = rng.spawn(i)

@@ -17,10 +17,6 @@ class CorruptData(OccReidError):
     """File header or payload does not match the declared format."""
 
 
-class OutOfBounds(OccReidError):
-    """Rectangle or paste position extends past the image border."""
-
-
 class InsufficientSize(OccReidError):
     """Image too small for the requested crop plus jitter margin."""
 

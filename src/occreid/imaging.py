@@ -1,11 +1,11 @@
 """Raster image primitives.
 
-8-bit row-major images with a binary PPM (P6) / PGM (P5) codec, crop,
-bilinear resize, paste and the jittered center-crop that defines training
-augmentation. Storage is uint8; compute happens on float64 views and is
-written back with round-half-away-from-zero, clamped to [0, 255]. All
-operations are pure: inputs are never mutated and identical inputs
-(including generator state) produce bit-identical outputs.
+8-bit row-major images with a binary PPM (P6) / PGM (P5) codec, bilinear
+resize and the jittered center-crop that defines training augmentation.
+Storage is uint8; compute happens on float64 views and is written back
+with round-half-away-from-zero, clamped to [0, 255]. All operations are
+pure: inputs are never mutated and identical inputs (including generator
+state) produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptData,
-    InsufficientSize,
-    OutOfBounds,
-    ShapeMismatch,
-    UnsupportedFormat,
-)
+from .errors import CorruptData, InsufficientSize, ShapeMismatch, UnsupportedFormat
 from .rng import SplitMix64
 
 _WHITESPACE = (0x20, 0x09, 0x0A, 0x0B, 0x0C, 0x0D)
@@ -46,9 +40,6 @@ class Rect:
     @property
     def area(self) -> int:
         return self.w * self.h
-
-    def fits_in(self, width: int, height: int) -> bool:
-        return self.x + self.w <= width and self.y + self.h <= height
 
 
 class Image:
@@ -194,31 +185,6 @@ def save_image(img: Image, path) -> None:
     Path(path).write_bytes(header + img.pixels.tobytes())
 
 
-def crop(img: Image, r: Rect) -> Image:
-    """Sub-image covering r; output pixel (u, v) equals input (r.x+u, r.y+v)."""
-    if not r.fits_in(img.width, img.height):
-        raise OutOfBounds(
-            f"rect {r} outside {img.width}x{img.height} image"
-        )
-    return Image(img.pixels[r.y : r.y + r.h, r.x : r.x + r.w].copy())
-
-
-def paste(base: Image, patch: Image, x: int, y: int) -> Image:
-    """New image equal to base with patch written at (x, y); base untouched."""
-    if patch.channels != base.channels:
-        raise ShapeMismatch(
-            f"patch has {patch.channels} channels, base has {base.channels}"
-        )
-    if x < 0 or y < 0 or x + patch.width > base.width or y + patch.height > base.height:
-        raise OutOfBounds(
-            f"{patch.width}x{patch.height} patch at ({x}, {y}) outside "
-            f"{base.width}x{base.height} image"
-        )
-    out = base.pixels.copy()
-    out[y : y + patch.height, x : x + patch.width] = patch.pixels
-    return Image(out)
-
-
 @lru_cache(maxsize=1024)  # a few hundred (length, size) pairs per experiment
 def _taps(n_in: int, n_out: int, channels: int = 1):
     """Bilinear taps along one axis of n_in samples resized to n_out: the two
@@ -306,4 +272,4 @@ def jittered_center_crop(
     if max_jitter > 0:
         cx += rng.randint(-max_jitter, max_jitter)
         cy += rng.randint(-max_jitter, max_jitter)
-    return crop(img, Rect(cx, cy, side, side))
+    return Image(img.pixels[cy : cy + side, cx : cx + side])

@@ -157,14 +157,13 @@ class ModelParams:
 class ForwardTrace:
     """Everything backward and the saliency map need from one forward pass.
 
-    cols[l] is layer l's (C*k*k, oh*ow*B) im2col matrix; preacts[l] and
-    acts[l] are its (O, oh, ow, B) pre- and post-ReLU maps, in the trunk's
-    batch-innermost layout. last_maps gives the last acts batch-first.
+    cols[l] is layer l's (C*k*k, oh*ow*B) im2col matrix and preacts[l] its
+    (O, oh, ow, B) pre-ReLU map, in the trunk's batch-innermost layout.
+    last_maps gives the last layer's post-ReLU map batch-first.
     """
 
     cols: list
     preacts: list
-    acts: list
     feature: np.ndarray
     id_logits: np.ndarray
     obc_logits: np.ndarray
@@ -172,7 +171,7 @@ class ForwardTrace:
     @property
     def last_maps(self) -> np.ndarray:
         """The last conv layer's activations as a contiguous (B, C, h, w) array."""
-        return _batch_major(self.acts[-1])
+        return _batch_major(np.maximum(self.preacts[-1], 0.0))
 
 
 def _params_from_dict(arch: ArchSpec, tensors: dict) -> ModelParams:
@@ -257,12 +256,9 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
     """Run the trunk and both heads, retaining per-layer state for backward.
 
     batch is (B, C, S, S) in [0, 1], cast to the parameters' dtype, which
-    every later array keeps; a single (C, S, S) array is promoted to a batch
-    of one.
+    every later array keeps.
     """
     x = np.asarray(batch, dtype=params.id_w.dtype)
-    if x.ndim == 3:
-        x = x[None]
     arch = params.arch
     if x.ndim != 4 or x.shape[1] != arch.in_channels or x.shape[2:] != (
         arch.input_side,
@@ -272,7 +268,7 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
             f"expected (B, {arch.in_channels}, {arch.input_side}, {arch.input_side}), "
             f"got {x.shape}"
         )
-    cols_list, preacts, acts = [], [], []
+    cols_list, preacts = [], []
     a = x.transpose(1, 2, 3, 0)  # (C, S, S, B): the trunk keeps the batch innermost
     for spec, w, b in zip(arch.convs, params.conv_w, params.conv_b):
         cols, oh, ow = _im2col(a, spec.kernel, spec.stride, spec.kernel // 2)
@@ -281,11 +277,10 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
         cols_list.append(cols)
         preacts.append(z)
         a = np.maximum(z, 0.0)
-        acts.append(a)
     feature = _batch_major(a).mean(axis=(2, 3))
     id_logits = feature @ params.id_w.T + params.id_b
     obc_logits = feature @ params.obc_w.T + params.obc_b
-    return ForwardTrace(cols_list, preacts, acts, feature, id_logits, obc_logits)
+    return ForwardTrace(cols_list, preacts, feature, id_logits, obc_logits)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -337,7 +332,7 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
     grads["obc.b"] = g_obc.sum(axis=0)
 
     d_act = g_id @ params.id_w + g_obc @ params.obc_w  # (B, D)
-    last = trace.acts[-1]  # (D, h, w, B)
+    last = trace.preacts[-1]  # (D, h, w, B)
     d_act = np.broadcast_to(d_act.T[:, None, None, :] / (last.shape[1] * last.shape[2]), last.shape)
     arch = params.arch
     for layer in reversed(range(len(arch.convs))):
@@ -348,7 +343,7 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
         grads[f"conv{layer}.b"] = dz.sum(axis=1)
         if layer > 0:
             d_act = _col2im(
-                w.T @ dz, trace.acts[layer - 1].shape, spec.kernel, spec.stride, spec.kernel // 2
+                w.T @ dz, trace.preacts[layer - 1].shape, spec.kernel, spec.stride, spec.kernel // 2
             )
     return grads
 

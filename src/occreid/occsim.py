@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dataset import Occlusion, PersonSample
 from .errors import InfeasibleGeometry
-from .imaging import Image, Rect, crop, paste, resize
+from .imaging import Image, Rect, resize
 from .rng import SplitMix64, derive_seed
 
 _MAX_ATTEMPTS = 1000
@@ -138,17 +138,16 @@ def simulate_occlusion(
 
     Draws the target rectangle first, then the patch rectangle. Pixels
     outside the target rect are bit-identical to the input; inside, they
-    equal resize(crop(img, patch_rect), target dims), which the returned
-    record is sufficient to replay.
+    equal the patch_rect slice of img resized to the target dims, which the
+    returned record is sufficient to replay.
     """
     target = sample_occluded_rect(img.width, img.height, cfg, rng)
-    patch_rect = _patch_rect(img.width, img.height, cfg, rng)
-    occluder = resize(crop(img, patch_rect), target.w, target.h)
-    out = paste(img, occluder, target.x, target.y)
-    record = OcclusionRecord(
-        source_id, patch_rect, target, target.area / (img.width * img.height)
-    )
-    return out, record
+    p = _patch_rect(img.width, img.height, cfg, rng)
+    patch = resize(Image(img.pixels[p.y : p.y + p.h, p.x : p.x + p.w]), target.w, target.h)
+    out = img.pixels.copy()
+    out[target.y : target.y + target.h, target.x : target.x + target.w] = patch.pixels
+    record = OcclusionRecord(source_id, p, target, target.area / (img.width * img.height))
+    return Image(out), record
 
 
 def build_occlusion_set(

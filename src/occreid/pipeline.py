@@ -303,16 +303,15 @@ def train_and_eval(cfg: ExperimentConfig, data: ExperimentData | None = None) ->
     return evaluate_model(cfg, params, data)
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
+def run_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     """Evaluate the ablation grid; every regime shares the same data,
     split, probe and seed streams so rows differ only in the switches."""
     out_dir = Path(out_dir)
-    selected = [r for r in _REGIMES if regimes is None or r[0] in regimes]
     data = prepare_experiment(cfg)  # the switches never reach data, split or probes
     results = {}
     rows = ["# regime\tuse_os\tuse_obc\tshots\trank1\trank5\trank10"]
     series = {}
-    for name, use_os, use_obc in selected:
+    for name, use_os, use_obc in _REGIMES:
         sub = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, use_os=use_os, use_obc=use_obc))
         reports = train_and_eval(sub, data)
         results[name] = reports
@@ -334,6 +333,8 @@ def run_ablation(cfg: ExperimentConfig, out_dir, regimes=None) -> dict:
 def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     """Train and evaluate once per loss weight; table sorted by alpha."""
     out_dir = Path(out_dir)
+    if not alphas:
+        raise ValueError("no alpha values to sweep")
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha {a} outside [0, 1]")
@@ -346,7 +347,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
             run=dataclasses.replace(cfg.run, use_os=True, use_obc=True),
         )
         results[a] = train_and_eval(sub, data)
-    shots = sorted(next(iter(results.values()))) if results else []
+    shots = sorted(next(iter(results.values())))
     _write_provenance(cfg, out_dir)
     rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
     for a in sorted(results):
@@ -355,8 +356,7 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     series = [
         (f"N={n}", sorted(results), [results[a][n].rank1 for a in sorted(results)]) for n in shots
     ]
-    if series:
-        line_plot(series, out_dir / "alpha_sweep.svg", "rank-1 vs loss weight", "alpha", "rank-1 (%)")
+    line_plot(series, out_dir / "alpha_sweep.svg", "rank-1 vs loss weight", "alpha", "rank-1 (%)")
     return results
 
 

@@ -6,24 +6,16 @@ from .fileio import write_lines
 
 _PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fbf", "#c98a1e", "#4aa3a3")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 28, 44
+_WIDTH, _HEIGHT = 640, 420
+_TICKS = 5
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
-    if hi == lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list:
+    step = (hi - lo) / (_TICKS - 1)
+    return [lo + i * step for i in range(_TICKS)]
 
 
-def line_plot(
-    series,
-    path,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
-) -> None:
+def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write a line plot to `path`. series is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
@@ -35,8 +27,8 @@ def line_plot(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -45,14 +37,14 @@ def line_plot(
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#555"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         out.append(
@@ -68,7 +60,7 @@ def line_plot(
         out.append(f'<text x="{_MARGIN_L - 7}" y="{y + 3.5:.2f}" text-anchor="end">{t:g}</text>')
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         out.append(

@@ -604,6 +604,7 @@ class TestExitCodes:
             ("sweep-alpha", ["--alphas", "0.5,2.0"], 1),
             ("eval", ["--checkpoint", "{gray}"], 2),  # fails at the first forward
             ("saliency", ["--checkpoint", "{valid}", "--compare", "{gray}"], 2),
+            ("sweep-alpha", ["--alphas", ","], 1),
         ],
     )
     def test_failing_command_writes_nothing(self, tmp_path, config_path, capsys, command, extra, code):

@@ -5,21 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occreid.errors import (
-    CorruptData,
-    InsufficientSize,
-    OutOfBounds,
-    ShapeMismatch,
-    UnsupportedFormat,
-)
+from occreid.errors import CorruptData, InsufficientSize, ShapeMismatch, UnsupportedFormat
 from occreid.imaging import (
     Image,
     Rect,
     bilinear_resize_array,
-    crop,
     jittered_center_crop,
     load_image,
-    paste,
     resize,
     save_image,
 )
@@ -178,21 +170,6 @@ class TestCodec:
 
 
 class TestCrop:
-    def test_full_rect_identity(self):
-        img = ramp(5, 4, 3)
-        assert crop(img, Rect(0, 0, 5, 4)) == img
-
-    def test_interior_values_match_index_arithmetic(self):
-        # 4x4 ramp pixel(x, y) = 4*y + x; rect (1,1,2,2) -> those 4 indices
-        img = ramp(4, 4)
-        out = crop(img, Rect(1, 1, 2, 2))
-        assert out.pixels.reshape(-1).tolist() == [5, 6, 9, 10]
-
-    def test_out_of_bounds(self):
-        img = ramp(4, 4)
-        with pytest.raises(OutOfBounds):
-            crop(img, Rect(2, 2, 3, 2))
-
     def test_rect_validation(self):
         with pytest.raises(ValueError):
             Rect(0, 0, 0, 2)
@@ -284,51 +261,6 @@ class TestResize:
         out = resize(img, tw, th)
         assert out.pixels.min() >= img.pixels.min()
         assert out.pixels.max() <= img.pixels.max()
-
-
-class TestPaste:
-    def test_self_paste_identity(self):
-        img = ramp(6, 5, 3)
-        r = Rect(2, 1, 3, 2)
-        assert paste(img, crop(img, r), r.x, r.y) == img
-
-    def test_black_patch_on_white(self):
-        base = Image(np.full((4, 4, 1), 255, dtype=np.uint8))
-        patch = Image(np.zeros((2, 2, 1), dtype=np.uint8))
-        out = paste(base, patch, 0, 0)
-        flat = out.pixels.reshape(4, 4)
-        assert (flat == 0).sum() == 4 and (flat == 255).sum() == 12
-        assert np.all(flat[:2, :2] == 0)
-
-    def test_base_not_mutated(self):
-        base = Image(np.full((4, 4, 1), 255, dtype=np.uint8))
-        before = base.pixels.copy()
-        paste(base, Image(np.zeros((2, 2, 1), dtype=np.uint8)), 1, 1)
-        assert np.array_equal(base.pixels, before)
-
-    def test_overlapping_edge(self):
-        base = ramp(4, 4)
-        with pytest.raises(OutOfBounds):
-            paste(base, Image(np.zeros((2, 2, 1), dtype=np.uint8)), 3, 0)
-
-    def test_channel_mismatch(self):
-        base = ramp(4, 4, 3)
-        with pytest.raises(ShapeMismatch):
-            paste(base, Image(np.zeros((2, 2, 1), dtype=np.uint8)), 0, 0)
-
-    @settings(max_examples=40, derandomize=True)
-    @given(
-        seed=st.integers(0, 10**6),
-        x=st.integers(0, 5),
-        y=st.integers(0, 5),
-        w=st.integers(1, 4),
-        h=st.integers(1, 4),
-    )
-    def test_crop_paste_round_trip(self, seed, x, y, w, h):
-        gen = np.random.Generator(np.random.PCG64(seed))
-        base = Image(gen.integers(0, 256, (9, 9, 3), dtype=np.uint8))
-        r = Rect(x, y, w, h)
-        assert paste(base, crop(base, r), r.x, r.y) == base
 
 
 class TestJitteredCenterCrop:

@@ -189,6 +189,8 @@ class TestForward:
             forward(params, np.zeros((1, 3, 7, 7)))
         with pytest.raises(ShapeMismatch):
             forward(params, np.zeros((1, 1, 8, 8)))
+        with pytest.raises(ShapeMismatch):
+            forward(params, np.zeros((3, 8, 8)))
 
     def test_deterministic(self):
         params = tiny_params()
@@ -201,7 +203,7 @@ class TestForward:
 def losses_of(id_logits, label, obc_logits=(0.0, 0.0), flag=0):
     """_mean_losses on a batch of one: (identity loss, OBC loss)."""
     trace = ForwardTrace(
-        (), (), (), np.zeros((1, 1)), np.array([id_logits], float), np.array([obc_logits], float)
+        (), (), np.zeros((1, 1)), np.array([id_logits], float), np.array([obc_logits], float)
     )
     return _mean_losses(trace, np.array([label]), np.array([flag]))
 
@@ -307,7 +309,7 @@ def einsum_conv_grads(trace, params, labels, flags, alpha):
     g_obc = _softmax(trace.obc_logits)
     g_obc[np.arange(b), flags] -= 1.0
     g_obc *= (1.0 - alpha) / b
-    last = trace.acts[-1]
+    last = trace.preacts[-1]
     d_act = (g_id @ params.id_w + g_obc @ params.obc_w).T[:, None, None, :]
     d_act = np.broadcast_to(d_act / (last.shape[1] * last.shape[2]), last.shape)
     grads = {}
@@ -318,7 +320,7 @@ def einsum_conv_grads(trace, params, labels, flags, alpha):
         grads[f"conv{layer}.w"] = np.einsum("fsb,csb->fc", dz, cols).reshape(w.shape)
         if layer:
             dcols = w.reshape(spec.out_channels, -1).T @ dz.reshape(spec.out_channels, -1)
-            shape = trace.acts[layer - 1].shape
+            shape = trace.preacts[layer - 1].shape
             d_act = _col2im(dcols, shape, spec.kernel, spec.stride, spec.kernel // 2)
     return grads
 
