@@ -51,6 +51,6 @@ from .occsim import (
     simulate_occlusion,
 )
 from .rng import SplitMix64, derive_seed
-from .saliency import SaliencyMap, binarize, detection_precision, saliency_maps
+from .saliency import binarize, detection_precision, saliency_maps
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ class DatasetSection:
 
 @dataclass
 class OcclusionSection:
-    patch_side: int = 0  # 0 -> image_height // 4
+    patch_side: int = 0  # 0 -> a quarter of each image's height
     ratio_lo: float = 0.1
     ratio_hi: float = 0.3
     aspect_lo: float = 0.5
@@ -205,12 +205,10 @@ def train_config(cfg: ExperimentConfig, seed: int, alpha: float) -> TrainConfig:
 
 
 def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    """The training-time simulator's settings; patch_side 0 means a quarter
-    of the image height."""
+    """The training-time simulator's settings."""
     occ = cfg.occlusion
-    side = occ.patch_side if occ.patch_side > 0 else max(1, cfg.dataset.image_height // 4)
     return OcclusionConfig(
-        patch_side=side,
+        patch_side=occ.patch_side,
         ratio_lo=occ.ratio_lo,
         ratio_hi=occ.ratio_hi,
         aspect_lo=occ.aspect_lo,

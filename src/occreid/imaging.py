@@ -90,10 +90,6 @@ class Image:
         """The pixels, so a list of equal-sized Images converts to one array."""
         return np.array(self.pixels, dtype=dtype, copy=copy)
 
-    def to_float(self) -> np.ndarray:
-        """Unit-interval float64 view (a fresh array) of the pixel data."""
-        return self.pixels.astype(np.float64) / 255.0
-
     @classmethod
     def from_float(cls, values: np.ndarray) -> "Image":
         """Build from unit-interval reals; round half away from zero, clamp."""

@@ -24,7 +24,8 @@ _MAX_ATTEMPTS = 1000
 class OcclusionConfig:
     """Geometry bounds for the simulator.
 
-    patch_side is the side of the square background patch; the occluded
+    patch_side is the side of the square background patch, 0 meaning a
+    quarter of each image's own height (at least 1); the occluded
     rectangle's area is drawn uniformly from [area * ratio_lo, area *
     ratio_hi] and its width/height ratio uniformly from [aspect_lo,
     aspect_hi]. background_band is the fraction of image height (from the
@@ -40,8 +41,8 @@ class OcclusionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.patch_side < 1:
-            raise ValueError(f"patch_side must be >= 1, got {self.patch_side}")
+        if self.patch_side < 0:
+            raise ValueError(f"patch_side must be >= 0, got {self.patch_side}")
         if not 0.0 < self.ratio_lo <= self.ratio_hi < 1.0:
             raise ValueError(
                 f"need 0 < ratio_lo <= ratio_hi < 1, got [{self.ratio_lo}, {self.ratio_hi}]"
@@ -111,21 +112,20 @@ def check_target_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> None:
         raise InfeasibleGeometry(f"aspect_lo {cfg.aspect_lo}: {smallest} ({h:.3g} tall)")
 
 
-def check_patch_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> int:
-    """Height of the background band of an img_w x img_h image; raises
-    InfeasibleGeometry when the patch does not fit in it."""
+def check_patch_fits(cfg: OcclusionConfig, img_w: int, img_h: int) -> tuple[int, int]:
+    """Patch side and background band height for an img_w x img_h image;
+    raises InfeasibleGeometry when the patch does not fit in the band."""
     band_h = _round_half_up(cfg.background_band * img_h)
-    s = cfg.patch_side
+    s = cfg.patch_side or max(1, img_h // 4)
     if s > img_w or s > band_h:
         raise InfeasibleGeometry(
             f"patch_side {s} does not fit the {img_w}x{band_h} background band"
         )
-    return band_h
+    return s, band_h
 
 
 def _patch_rect(img_w: int, img_h: int, cfg: OcclusionConfig, rng: SplitMix64) -> Rect:
-    band_h = check_patch_fits(cfg, img_w, img_h)
-    s = cfg.patch_side
+    s, band_h = check_patch_fits(cfg, img_w, img_h)
     x = rng.randint(0, img_w - s)
     y = rng.randint(0, band_h - s)
     return Rect(x, y, s, s)

@@ -34,7 +34,7 @@ from .dataset import (
     scan_dataset,
     split_identities,
 )
-from .errors import InfeasibleGeometry
+from .errors import InfeasibleGeometry, UnsupportedFormat
 from .evaluate import EvalReport, evaluate
 from .fileio import write_lines
 from .imaging import Image, load_image, save_image
@@ -160,6 +160,13 @@ def _write_provenance(cfg: ExperimentConfig, out_dir: Path) -> None:
     lines = ["# stream\tseed"]
     lines += [f"{name}\t{value}" for name, value in _seed_rows(cfg)]
     write_lines(out_dir / "seeds.tsv", lines)
+
+
+def _load_mask(path: Path) -> Image:
+    mask = load_image(path)
+    if mask.channels != 1:
+        raise UnsupportedFormat(f"{path}: a body mask must be a single-channel PGM (P5), got P6")
+    return mask
 
 
 def _safe_name(sample_id: str) -> str:
@@ -373,24 +380,27 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
     samples = prepare_experiment(cfg).test_samples
     root = cfg.dataset.root  # a scanned image may have a <name>.mask.pgm annotation beside it
     paths = {i: (Path(root) / s.id).with_suffix(".mask.pgm") for i, s in enumerate(samples) if root}
-    masks = {i: load_image(p) for i, p in paths.items() if p.exists()}
+    masks = {i: _load_mask(p) for i, p in paths.items() if p.exists()}
+    has_mask = np.isin(np.arange(len(samples)), list(masks))
     results = []  # every checkpoint runs before anything is written
     for label, params in checkpoints:
-        maps = saliency_maps(params, preprocess_images([s.image for s in samples], params.arch))
         # annotations take the images' resize and center crop, then are re-binarized
-        bodies = preprocess_images(list(masks.values()), params.arch) > 127
-        precisions = [
-            detection_precision(binarize(maps[i]), Image(body * 255))
-            for i, body in zip(masks, bodies)
-        ]
-        results.append((label, maps, precisions))
+        bodies = preprocess_images(list(masks.values()), params.arch)[..., 0] > 127
+        pixels = preprocess_images([s.image for s in samples], params.arch)
+        images, precisions = [], []  # chunk by chunk: 8-bit maps and the masked rows' scores
+        for maps in saliency_maps(params, pixels):
+            rows = has_mask[len(images) : len(images) + len(maps)]
+            body = bodies[len(precisions) : len(precisions) + rows.sum()]
+            images += [Image.from_float(m) for m in maps]
+            precisions += detection_precision(binarize(maps[rows]), body).tolist()
+        results.append((label, images, precisions))
     _write_provenance(cfg, out_dir)
     summary = {}
     for label, maps, precisions in results:
         map_dir = out_dir / ("maps" if label == "model" else f"maps_{label}")
         map_dir.mkdir(exist_ok=True)
-        for s, smap in zip(samples, maps):
-            save_image(smap.to_image(), map_dir / f"{_safe_name(s.id)}.pgm")
+        for s, img in zip(samples, maps):
+            save_image(img, map_dir / f"{_safe_name(s.id)}.pgm")
         mean = float(np.mean(precisions)) if precisions else None
         if precisions:
             rows = ["# sample_id\tprecision"]

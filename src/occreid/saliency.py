@@ -3,100 +3,63 @@
 A saliency map is the channel mean of the last convolution layer's
 activation maps, bilinearly upsampled to the network input resolution and
 min-max normalized to [0, 1]. A constant map normalizes to all zeros
-rather than dividing by zero. Salient regions come from quantile
-thresholding; detection precision is the fraction of the salient region
-covered by a manual body-part annotation mask.
+rather than dividing by zero. The salient region is the map's pixels at or
+above its median; detection precision is the fraction of the salient
+region covered by a body-part annotation mask. Maps and masks are arrays
+whose last two axes are the image rows and columns.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimMismatch, EmptySalientRegionWarning
-from .imaging import Image, bilinear_resize_array
+from .imaging import bilinear_resize_array
 from .model import ModelParams, forward_images
 
 
-@dataclass(frozen=True)
-class SaliencyMap:
-    """Single-channel map at network input resolution, values in [0, 1]."""
-
-    values: np.ndarray
-
-    def to_image(self) -> Image:
-        return Image.from_float(self.values[:, :, None])
-
-
-def _normalize(values: np.ndarray) -> np.ndarray:
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
-def map_from_feature_maps(maps: np.ndarray, out_side: int) -> SaliencyMap:
-    """Channel mean of (F, h, w) activation maps, upsampled then normalized.
+def saliency_maps(params: ModelParams, images):
+    """Yield one (B, S, S) float64 array of maps per forward chunk of
+    preprocessed images, S being the network input side.
 
     Adding a constant to every activation does not change the result; the
     min-max step removes offsets.
     """
-    maps = np.asarray(maps, dtype=np.float64)
-    if maps.ndim != 3:
-        raise DimMismatch(f"expected (channels, h, w) maps, got shape {maps.shape}")
-    mean_map = maps.mean(axis=0)
-    upsampled = bilinear_resize_array(mean_map, out_side, out_side)
-    return SaliencyMap(_normalize(upsampled))
-
-
-def saliency_maps(params: ModelParams, images) -> list:
-    """One map per preprocessed image; output dims equal input dims."""
     side = params.arch.input_side
-    return [
-        map_from_feature_maps(maps, side)
-        for trace in forward_images(params, images)
-        for maps in trace.last_maps
-    ]
+    for trace in forward_images(params, images):
+        means = trace.last_maps.mean(axis=1)  # (B, h, w)
+        maps = bilinear_resize_array(means.transpose(1, 2, 0), side, side).transpose(2, 0, 1)
+        lo = maps.min(axis=(1, 2), keepdims=True)
+        span = maps.max(axis=(1, 2), keepdims=True) - lo
+        yield np.divide(maps - lo, span, out=np.zeros_like(maps), where=span > 0)
 
 
-def binarize(smap: SaliencyMap, quantile: float = 0.5) -> Image:
-    """Mask of pixels at or above the q-quantile of map values (255 = salient).
+def binarize(maps: np.ndarray) -> np.ndarray:
+    """Boolean masks of the pixels at or above each map's median.
 
-    The threshold is the floor(q * P)-th order statistic, so a map with P
-    distinct values marks ceil((1 - q) * P) pixels. A constant map has no
-    salient region and yields an empty mask.
+    The threshold of a map of P pixels is its floor(P / 2)-th order
+    statistic, so a map with P distinct values marks ceil(P / 2) pixels. A
+    constant map has no salient region and yields an empty mask.
     """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-    values = smap.values
-    flat = np.sort(values, axis=None)
-    if flat[0] == flat[-1]:
-        mask = np.zeros(values.shape, dtype=np.uint8)
-    else:
-        threshold = flat[int(np.floor(quantile * flat.size))]
-        mask = np.where(values >= threshold, 255, 0).astype(np.uint8)
-    return Image(mask[:, :, None])
+    flat = maps.reshape(maps.shape[:-2] + (maps.shape[-2] * maps.shape[-1],))
+    k = flat.shape[-1] // 2
+    threshold = np.partition(flat, k, axis=-1)[..., k, None, None]
+    varies = (flat.max(axis=-1) > flat.min(axis=-1))[..., None, None]
+    return (maps >= threshold) & varies
 
 
-def detection_precision(salient: Image, annotation: Image) -> float:
-    """|salient AND annotation| / |salient| over nonzero pixels.
+def detection_precision(salient: np.ndarray, body: np.ndarray) -> np.ndarray:
+    """|salient AND body| / |salient| of boolean masks, one value per map
+    over any leading axes.
 
-    Returns 0 (with an EmptySalientRegionWarning) when nothing is salient.
+    An empty salient region scores 0, with an EmptySalientRegionWarning.
     """
-    if (salient.width, salient.height) != (annotation.width, annotation.height):
-        raise DimMismatch(
-            f"salient {salient.width}x{salient.height} vs "
-            f"annotation {annotation.width}x{annotation.height}"
-        )
-    if salient.channels != 1 or annotation.channels != 1:
-        raise DimMismatch("masks must be single-channel")
-    s = salient.pixels[:, :, 0] > 0
-    a = annotation.pixels[:, :, 0] > 0
-    total = int(s.sum())
-    if total == 0:
+    if salient.shape != body.shape:
+        raise DimMismatch(f"salient masks {salient.shape} vs body masks {body.shape}")
+    hits = (salient & body).sum(axis=(-2, -1))
+    total = salient.sum(axis=(-2, -1))
+    if not np.all(total):
         warnings.warn("salient region is empty", EmptySalientRegionWarning, stacklevel=2)
-        return 0.0
-    return float((s & a).sum() / total)
+    return np.divide(hits, total, out=np.zeros(total.shape), where=total > 0)

@@ -146,6 +146,12 @@ class TestConfig:
         for section in defaults.sections():
             assert list(documented[section]) == list(defaults[section]), section
 
+    def test_readme_library_block_runs(self):
+        # a public name the docs import but the package no longer has fails here
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
+
 
 def _ini_values(**fields):
     """Strategy for one INI section's text: each key is set or left at its
@@ -236,6 +242,26 @@ class TestSimulateCommand:
         assert (out / "simulate" / "config.resolved.ini").exists()
         assert (out / "simulate" / "seeds.tsv").exists()
         assert "16 occluded images" in capsys.readouterr().out
+
+    def test_default_patch_side_follows_scanned_image_height(self, tmp_path):
+        # patch_side = 0 is a quarter of each image's own height: 6 on these
+        # 16x24 images, whose 16x6 background band holds it, not a quarter
+        # of the default [dataset] image_height of 64
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            p = root / "whole" / f"{s.identity:03d}"
+            p.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, p / f"{s.id}.ppm")
+        (root / "occluded").mkdir()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[dataset]\nroot = {root}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, *rows = (out / "simulate" / "manifest.tsv").read_text().strip().splitlines()
+        cols = header.lstrip("# ").split("\t")
+        w, h = cols.index("patch_w"), cols.index("patch_h")
+        assert len(rows) == 16
+        assert {(r.split("\t")[w], r.split("\t")[h]) for r in rows} == {("6", "6")}
 
     def test_rerun_byte_identical(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -691,6 +717,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and victim.with_suffix(".pgm").name in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_colour_mask_is_refused_naming_it(self, tmp_path, capsys):
+        # every test image has a single-channel mask except one, saved as P6
+        from occreid.config import load_config
+        from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+        from occreid.pipeline import prepare_experiment
+
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            for branch in ("whole", "occluded"):
+                p = root / branch / f"{s.identity:03d}"
+                p.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, p / f"{s.id}.ppm")
+                save_image(Image(np.full((24, 16), 255, np.uint8)), p / f"{s.id}.mask.pgm")
+        cfg = _scanned_ini(root, tmp_path / "cfg.ini")
+        test_ids = [s.id for s in prepare_experiment(load_config(cfg)).test_samples]
+        victim = (root / test_ids[1]).with_suffix(".mask.pgm")
+        save_image(Image(np.full((24, 16, 3), 255, np.uint8)), victim)
+        ckpt = tmp_path / "c.bin"
+        arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        save_checkpoint(init_params(arch, 2, 0), ckpt)
+        out = tmp_path / "out"
+        args = ["saliency", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and str(victim) in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "eval", "sweep-alpha", "saliency", "report"])

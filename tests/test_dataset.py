@@ -292,7 +292,7 @@ class TestSyntheticGenerator:
 
     def test_inter_identity_exceeds_intra_identity_distance(self):
         samples = generate_synthetic_dataset(8, 6, 32, 64, SplitMix64(13))
-        feats = {s.id: s.image.to_float().reshape(-1) for s in samples}
+        feats = {s.id: (s.image.pixels / 255.0).reshape(-1) for s in samples}
         intra, inter = [], []
         for i, a in enumerate(samples):
             for b in samples[i + 1 :]:

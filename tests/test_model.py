@@ -637,7 +637,7 @@ def replay_train_inputs(samples, cfg, occlusions=None):
                 jittered_center_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng)
                 for i in batch
             ]
-            x = np.stack([im.to_float().transpose(2, 0, 1) for im in crops])
+            x = np.stack([(im.pixels / 255.0).transpose(2, 0, 1) for im in crops])
             labels = np.array([label_of[members[i].identity] for i in batch])
             flags = np.array([members[i].occlusion.obc_target for i in batch])
             inputs.append((x, labels, flags))
@@ -776,7 +776,7 @@ class TestFeatureExtraction:
         img = Image(gen.integers(0, 256, (8, 8, 3), dtype=np.uint8))
         feats = extract_features(params, [img])
         assert feats.shape == (1, TINY.feature_dim)
-        x = img.to_float().transpose(2, 0, 1)[None]
+        x = (img.pixels / 255.0).transpose(2, 0, 1)[None]
         assert np.array_equal(feats[0], forward(params, x).feature[0])
         assert np.array_equal(feats, extract_features(params, [img]))
 
@@ -804,10 +804,11 @@ class TestFeatureExtraction:
         pixels = gen.integers(0, 256, (FORWARD_CHUNK + 5, 8, 8, 3), dtype=np.uint8)
         images = [Image(p) for p in pixels]
         assert np.array_equal(extract_features(params, pixels), extract_features(params, images))
-        by_array, by_list = saliency_maps(params, pixels), saliency_maps(params, images)
+        by_array = np.concatenate(list(saliency_maps(params, pixels)))
+        by_list = np.concatenate(list(saliency_maps(params, images)))
         assert len(by_array) == len(by_list) == len(images)
         for a, b in zip(by_array, by_list):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
     def test_preprocess_produces_network_input(self):
         arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))

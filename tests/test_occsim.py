@@ -35,7 +35,7 @@ class TestConfig:
 
     def test_other_invariants(self):
         with pytest.raises(ValueError):
-            OcclusionConfig(patch_side=0)
+            OcclusionConfig(patch_side=-1)
         with pytest.raises(ValueError):
             OcclusionConfig(patch_side=8, aspect_lo=0.0)
         with pytest.raises(ValueError):

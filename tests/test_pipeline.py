@@ -206,7 +206,7 @@ class TestEvalManifests:
         assert gal[-1].startswith("# probes\t")
 
     def test_chunked_saliency_matches_single_image_maps(self, tmp_path):
-        from occreid.imaging import save_image
+        from occreid.imaging import Image, save_image
         from occreid.model import FORWARD_CHUNK, preprocess_image
         from occreid.pipeline import _safe_name, run_saliency
         from occreid.saliency import saliency_maps
@@ -224,8 +224,8 @@ class TestEvalManifests:
         loaded = load_checkpoint(ckpt)
         single = tmp_path / "single.pgm"
         for s in data.test_samples:
-            (smap,) = saliency_maps(loaded, [preprocess_image(s.image, loaded.arch)])
-            save_image(smap.to_image(), single)
+            ((smap,),) = saliency_maps(loaded, [preprocess_image(s.image, loaded.arch)])
+            save_image(Image.from_float(smap), single)
             assert (map_dir / f"{_safe_name(s.id)}.pgm").read_bytes() == single.read_bytes(), s.id
 
 
@@ -259,7 +259,7 @@ class TestArrayPathMatchesImageReference:
 
     def test_eval_and_saliency_precision(self, tmp_path):
         from occreid.evaluate import evaluate
-        from occreid.imaging import Image, load_image
+        from occreid.imaging import load_image
         from occreid.model import extract_features, preprocess_image
         from occreid.pipeline import TAG_EVAL, evaluate_model
         from occreid.saliency import binarize, detection_precision, saliency_maps
@@ -283,12 +283,13 @@ class TestArrayPathMatchesImageReference:
         got = dict(r.split("\t") for r in rows if not r.startswith("#"))
         assert len(got) == len(data.test_samples)
         near = set()
-        for s, smap in zip(data.test_samples, saliency_maps(params, prepped)):
+        maps = np.concatenate(list(saliency_maps(params, prepped)))
+        for s, smap in zip(data.test_samples, maps, strict=True):
             mask_path = tmp_path / "data" / s.id.replace(".ppm", ".mask.pgm")
             mask = preprocess_image(load_image(mask_path), arch)
             near |= set(np.unique(mask.pixels))
-            body = Image(np.where(mask.pixels > 127, 255, 0).astype(np.uint8))
-            assert got[s.id] == repr(detection_precision(binarize(smap), body)), s.id
+            body = mask.pixels[:, :, 0] > 127
+            assert got[s.id] == repr(float(detection_precision(binarize(smap), body))), s.id
         assert {127, 128} <= near
 
 
