@@ -4,20 +4,23 @@ Every hyperparameter has a default; reference-protocol values (learning
 rate 1e-3, batch size 20, alpha 0.8, half split, 10 trials) are the
 defaults where they make sense at desk scale, and the desk-scale
 overrides used by the bundled experiments live in the same file format.
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly. The
+[occlusion] and [train] sections are occsim.OcclusionConfig and
+model.TrainConfig themselves, so each of their settings has one field,
+one default and one check.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import warnings
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InfeasibleGeometry
 from .fileio import write_atomic
-from .model import ArchSpec, ConvSpec, TrainConfig
+from .model import TrainConfig
 from .occsim import OcclusionConfig, check_patch_fits, check_target_fits
 
 
@@ -29,36 +32,6 @@ class DatasetSection:
     image_width: int = 32
     image_height: int = 64
     split_fraction: float = 0.5
-
-
-@dataclass
-class OcclusionSection:
-    patch_side: int = 0  # 0 -> a quarter of each image's height
-    ratio_lo: float = 0.1
-    ratio_hi: float = 0.3
-    aspect_lo: float = 0.5
-    aspect_hi: float = 2.0
-    background_band: float = 0.25
-    regenerate_per_epoch: bool = False
-    # synthetic eval probes may crop their occluders from another band
-    # (real occluders differ from training-time artificial ones); a
-    # negative value inherits background_band
-    probe_band: float = -1.0
-
-
-@dataclass
-class TrainSection:
-    alpha: float = 0.8
-    learning_rate: float = 1e-3
-    batch_size: int = 20
-    iterations: int = 2000
-    input_side: int = 32
-    resize_side: int = 36
-    max_jitter: int = -1  # -1 -> (resize_side - input_side) // 2
-    conv_channels: tuple = (8, 16, 32)
-    kernel: int = 3
-    stride: int = 2
-    lr_decay_every: int = 0
 
 
 @dataclass
@@ -78,19 +51,13 @@ class RunSection:
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
-    occlusion: OcclusionSection = field(default_factory=OcclusionSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    occlusion: OcclusionConfig = field(default_factory=OcclusionConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     run: RunSection = field(default_factory=RunSection)
 
 
-_SECTIONS = {
-    "dataset": DatasetSection,
-    "occlusion": OcclusionSection,
-    "train": TrainSection,
-    "eval": EvalSection,
-    "run": RunSection,
-}
+_SECTIONS = ("dataset", "occlusion", "train", "eval", "run")
 
 
 def _parse_value(raw: str, template):
@@ -106,7 +73,10 @@ def _parse_value(raw: str, template):
     if kind is int:
         return int(raw)
     if kind is float:
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
     if kind is tuple:
         if not raw:
             raise ValueError("expected one or more comma-separated integers")
@@ -146,8 +116,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    """Build everything a run derives from the config, so a bad value
-    fails here, before any work; errors name the section and key."""
+    """Check every section, and on synthetic images whether both simulator
+    configs fit, so a bad value fails here, before any work; errors name
+    the section and key."""
     ds, ev = cfg.dataset, cfg.eval
     if not 0.0 < ds.split_fraction < 1.0:
         raise ValueError(f"[dataset] split_fraction: must be in (0, 1), got {ds.split_fraction}")
@@ -162,68 +133,24 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError(f"[eval] shots: need counts >= 1, got {ev.shots}")
     if not ds.root and max(ev.shots) > ds.per_identity:
         raise ValueError(f"[eval] shots: {ev.shots} above the synthetic per_identity {ds.per_identity}")
+    if len(set(ev.shots)) < len(ev.shots):
+        raise ValueError(f"[eval] shots: a count is repeated in {ev.shots}")
     if ev.trials < 1:
         raise ValueError(f"[eval] trials: must be >= 1, got {ev.trials}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an alpha of 0 or 1 warns when training starts
-            train_config(cfg, 0, cfg.train.alpha)
-    except ValueError as e:
-        raise ValueError(f"[train] {e}") from e
-    for name, build in (("", occlusion_config), ("probe_band: ", probe_occlusion_config)):
+    for section in ("train", "occlusion"):
         try:
-            occ = build(cfg, 0)
-            if not ds.root:  # the synthetic image size is known now
-                check_target_fits(occ, ds.image_width, ds.image_height)
-                check_patch_fits(occ, ds.image_width, ds.image_height)
-        except (ValueError, InfeasibleGeometry) as e:
-            raise ValueError(f"[occlusion] {name}{e}") from e
-
-
-def arch_spec(cfg: ExperimentConfig) -> ArchSpec:
-    t = cfg.train
-    return ArchSpec(
-        input_side=t.input_side,
-        resize_side=t.resize_side,
-        in_channels=3,
-        convs=tuple(ConvSpec(c, t.kernel, t.stride) for c in t.conv_channels),
-    )
-
-
-def train_config(cfg: ExperimentConfig, seed: int, alpha: float) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        alpha=alpha,
-        learning_rate=t.learning_rate,
-        batch_size=t.batch_size,
-        iterations=t.iterations,
-        seed=seed,
-        arch=arch_spec(cfg),
-        max_jitter=None if t.max_jitter < 0 else t.max_jitter,
-        lr_decay_every=t.lr_decay_every,
-    )
-
-
-def occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    """The training-time simulator's settings."""
+            getattr(cfg, section).check()
+        except ValueError as e:
+            raise ValueError(f"[{section}] {e}") from e
+    if ds.root:
+        return
     occ = cfg.occlusion
-    return OcclusionConfig(
-        patch_side=occ.patch_side,
-        ratio_lo=occ.ratio_lo,
-        ratio_hi=occ.ratio_hi,
-        aspect_lo=occ.aspect_lo,
-        aspect_hi=occ.aspect_hi,
-        background_band=occ.background_band,
-        seed=seed,
-    )
-
-
-def probe_occlusion_config(cfg: ExperimentConfig, seed: int) -> OcclusionConfig:
-    """Settings for synthetic eval probes: the training-time ones, with
-    probe_band as the background band unless it is negative."""
-    base = occlusion_config(cfg, seed)
-    band = cfg.occlusion.probe_band
-    return dataclasses.replace(base, background_band=band if band >= 0 else base.background_band)
+    for name, sim in (("", occ), ("probe_band: ", occ.probe_config())):
+        try:  # the synthetic image size is known now
+            check_target_fits(sim, ds.image_width, ds.image_height)
+            check_patch_fits(sim, ds.image_width, ds.image_height)
+        except InfeasibleGeometry as e:
+            raise ValueError(f"[occlusion] {name}{e}") from e
 
 
 def render_config(cfg: ExperimentConfig) -> str:

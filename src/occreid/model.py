@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,31 +96,53 @@ class ArchSpec:
         return (self.resize_side - self.input_side) // 2
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrainConfig:
+    """The [train] section: loss weight, SGD settings and network geometry.
+
+    Fields may be set after construction; check() validates them, and
+    train calls it before any work.
+    """
+
     alpha: float = 0.8
     learning_rate: float = 1e-3
     batch_size: int = 20
-    iterations: int = 1000
-    seed: int = 0
-    arch: ArchSpec = field(default_factory=ArchSpec)
-    max_jitter: int | None = None  # None picks (resize_side - input_side) // 2
+    iterations: int = 2000
+    input_side: int = 32
+    resize_side: int = 36
+    max_jitter: int = -1  # -1 picks the crop margin, (resize_side - input_side) // 2
+    conv_channels: tuple = (8, 16, 32)
+    kernel: int = 3
+    stride: int = 2
     lr_decay_every: int = 0  # 0 disables the step schedule
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        self.check()
         if self.alpha in (0.0, 1.0):
             warnings.warn(
                 f"alpha={self.alpha} disables one loss entirely; values in (0, 1) "
                 "with alpha >= 0.5 are the intended operating range",
                 stacklevel=2,
             )
-        if self.batch_size < 1 or self.iterations < 0 or self.learning_rate < 0:
-            raise ValueError("batch_size >= 1, iterations >= 0, learning_rate >= 0 required")
+
+    @property
+    def arch(self) -> ArchSpec:
+        convs = tuple(ConvSpec(c, self.kernel, self.stride) for c in self.conv_channels)
+        return ArchSpec(self.input_side, self.resize_side, 3, convs)
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field out of range."""
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        lows = (("batch_size", 1), ("iterations", 0), ("learning_rate", 0), ("lr_decay_every", 0))
+        for name, low in lows:
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         margin = self.arch.default_jitter
-        if self.max_jitter is not None and not 0 <= self.max_jitter <= margin:
-            raise ValueError(f"max_jitter {self.max_jitter} outside [0, {margin}], the crop margin")
+        if self.max_jitter != -1 and not 0 <= self.max_jitter <= margin:
+            raise ValueError(
+                f"max_jitter {self.max_jitter} outside [0, {margin}], the crop margin, and not -1"
+            )
 
 
 @dataclass
@@ -368,7 +390,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
     return _params_from_dict(params.arch, updated)
 
 
-def train(samples, cfg: TrainConfig, occlusions=None):
+def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
     """SGD over the sample set with jittered center-crop augmentation.
 
     Every step runs in float32: the float32-exact initial weights are cast
@@ -382,7 +404,9 @@ def train(samples, cfg: TrainConfig, occlusions=None):
 
     Identity labels are remapped to contiguous 0..K-1 (sorted order) and
     the occlusion flag of each sample supplies the binary target. Batches
-    walk repeated uniform shuffles of the set. Returns the final params
+    walk repeated uniform shuffles of the set. The initial weights come
+    from derive_seed(seed, 0), the shuffle and crop-jitter streams from
+    derive_seed(derive_seed(seed, 1 or 2), 0). Returns the final params
     and one (iteration, total, id_loss, obc_loss) row per step, where
     total is multi_task_loss(id_loss, obc_loss, alpha).
 
@@ -393,6 +417,7 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     first iteration `it` the shuffle and jitter streams restart from
     derive_seed(derive_seed(seed, 1 or 2), it) with an empty queue.
     """
+    cfg.check()
     samples = list(samples)
     if not samples:
         raise ValueError("empty training set")
@@ -400,8 +425,8 @@ def train(samples, cfg: TrainConfig, occlusions=None):
     n = len(samples)
     identities = sorted({s.identity for s in samples})
     label_of = {ident: i for i, ident in enumerate(identities)}
-    params = _cast(init_params(arch, len(identities), derive_seed(cfg.seed, 0)), np.float32)
-    jitter = cfg.max_jitter if cfg.max_jitter is not None else arch.default_jitter
+    params = _cast(init_params(arch, len(identities), derive_seed(seed, 0)), np.float32)
+    jitter = arch.default_jitter if cfg.max_jitter == -1 else cfg.max_jitter
     side = arch.resize_side
     copies = 1 if occlusions is None else 2  # rows n: hold the occluded half, rewritten per epoch
     stack = np.empty((copies * n, side, side, arch.in_channels), dtype=np.uint8)
@@ -421,8 +446,8 @@ def train(samples, cfg: TrainConfig, occlusions=None):
                 labels_all[n:] = [label_of[z.identity] for z in occluded]
                 flags_all[n:] = [z.occlusion.obc_target for z in occluded]
                 _resize_into(stack[n:], [(z.id, z.image) for z in occluded], side)
-            order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), it))
-            jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), it))
+            order_rng = SplitMix64(derive_seed(derive_seed(seed, 1), it))
+            jitter_rng = SplitMix64(derive_seed(derive_seed(seed, 2), it))
             queue: list[int] = []
         while len(queue) < cfg.batch_size:
             block = list(range(len(stack)))

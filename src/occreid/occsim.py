@@ -10,6 +10,7 @@ label.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from .dataset import Occlusion, PersonSample
@@ -20,9 +21,9 @@ from .rng import SplitMix64, derive_seed
 _MAX_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
+@dataclass
 class OcclusionConfig:
-    """Geometry bounds for the simulator.
+    """The [occlusion] section: geometry bounds for the simulator.
 
     patch_side is the side of the square background patch, 0 meaning a
     quarter of each image's own height (at least 1); the occluded
@@ -30,17 +31,27 @@ class OcclusionConfig:
     ratio_hi] and its width/height ratio uniformly from [aspect_lo,
     aspect_hi]. background_band is the fraction of image height (from the
     top) the patch may be cropped from; 1.0 allows the whole image.
+    regenerate_per_epoch draws a fresh occluded set for every training
+    epoch. probe_band is the band synthetic eval probes crop their
+    occluders from (see probe_config); a negative value inherits
+    background_band. Fields may be set after construction; check()
+    validates them, and build_occlusion_set calls it before any work.
     """
 
-    patch_side: int
+    patch_side: int = 0
     ratio_lo: float = 0.1
     ratio_hi: float = 0.3
     aspect_lo: float = 0.5
     aspect_hi: float = 2.0
     background_band: float = 0.25
-    seed: int = 0
+    regenerate_per_epoch: bool = False
+    probe_band: float = -1.0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError naming the first field out of range."""
         if self.patch_side < 0:
             raise ValueError(f"patch_side must be >= 0, got {self.patch_side}")
         if not 0.0 < self.ratio_lo <= self.ratio_hi < 1.0:
@@ -53,6 +64,14 @@ class OcclusionConfig:
             )
         if not 0.0 < self.background_band <= 1.0:
             raise ValueError(f"background_band must be in (0, 1], got {self.background_band}")
+        if not (self.probe_band < 0.0 or 0.0 < self.probe_band <= 1.0):
+            raise ValueError(f"probe_band must be in (0, 1] or negative, got {self.probe_band}")
+
+    def probe_config(self) -> OcclusionConfig:
+        """The synthetic eval probes' settings: these, with probe_band as
+        the background band unless it is negative."""
+        band = self.background_band if self.probe_band < 0.0 else self.probe_band
+        return dataclasses.replace(self, background_band=band)
 
 
 @dataclass(frozen=True)
@@ -151,17 +170,18 @@ def simulate_occlusion(
 
 
 def build_occlusion_set(
-    samples, cfg: OcclusionConfig
+    samples, cfg: OcclusionConfig, seed: int
 ) -> tuple[list[PersonSample], list[OcclusionRecord]]:
     """One artificially occluded sample per input sample, labels preserved.
 
-    Sample i uses its own generator seeded with derive_seed(cfg.seed, i),
-    so the set is reproducible and can be built in any order or in
-    parallel. Occluded ids are the source id plus '#occ'.
+    Sample i uses its own generator seeded with derive_seed(seed, i), so
+    the set is reproducible and can be built in any order or in parallel.
+    Occluded ids are the source id plus '#occ'.
     """
+    cfg.check()
     occluded, records = [], []
     for index, s in enumerate(samples):
-        child = SplitMix64(derive_seed(cfg.seed, index))
+        child = SplitMix64(derive_seed(seed, index))
         try:
             img, rec = simulate_occlusion(s.image, cfg, child, source_id=s.id)
         except InfeasibleGeometry as e:

@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    occlusion_config,
-    probe_occlusion_config,
-    train_config,
-    write_resolved,
-)
+from .config import ExperimentConfig, write_resolved
 from .dataset import (
     Occlusion,
     generate_synthetic_dataset,
@@ -85,16 +79,16 @@ def _check_scanned_fits(cfg: ExperimentConfig, samples: list) -> None:
     for s in samples:
         if s.occlusion is Occlusion.FULL_BODY:
             sizes.setdefault((s.image.width, s.image.height), s.id)
-    for name, build in (("", occlusion_config), ("probe_band: ", probe_occlusion_config)):
-        occ = build(cfg, 0)
+    occ = cfg.occlusion
+    for name, sim in (("", occ), ("probe_band: ", occ.probe_config())):
         for (w, h), sample_id in sizes.items():
             try:
-                check_target_fits(occ, w, h)
+                check_target_fits(sim, w, h)
             except InfeasibleGeometry as e:
                 where = Path(cfg.dataset.root) / sample_id
                 raise ValueError(f"[occlusion] {name}{e}: {where}") from e
             try:
-                check_patch_fits(occ, w, h)
+                check_patch_fits(sim, w, h)
             except InfeasibleGeometry as e:
                 raise InfeasibleGeometry(f"sample {sample_id}: {name}{e}") from e
 
@@ -130,8 +124,8 @@ def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
     ]
     test_samples = [s for s in samples if s.identity in split.test_identities]
     if not any(s.occlusion is not Occlusion.FULL_BODY for s in test_samples):
-        probe_cfg = probe_occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_PROBE))
-        probes, _ = build_occlusion_set(test_samples, probe_cfg)
+        seed = derive_seed(cfg.run.seed, TAG_PROBE)
+        probes, _ = build_occlusion_set(test_samples, cfg.occlusion.probe_config(), seed)
         test_samples = test_samples + probes
     return ExperimentData(split, train_full, test_samples)
 
@@ -178,8 +172,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     manifest row per sample (source, label, rects, ratio, seed)."""
     out_dir = Path(out_dir)
     samples = [s for s in load_samples(cfg) if s.occlusion is Occlusion.FULL_BODY]
-    occ_cfg = occlusion_config(cfg, derive_seed(cfg.run.seed, TAG_OS))
-    occluded, records = build_occlusion_set(samples, occ_cfg)
+    os_seed = derive_seed(cfg.run.seed, TAG_OS)
+    occluded, records = build_occlusion_set(samples, cfg.occlusion, os_seed)
     _write_provenance(cfg, out_dir)
     img_dir = out_dir / "images"
     img_dir.mkdir(exist_ok=True)
@@ -192,7 +186,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
         p, t = rec.patch_rect, rec.target_rect
         lines.append(
             f"{rec.source_id}\t{z.identity}\t{p.x}\t{p.y}\t{p.w}\t{p.h}"
-            f"\t{t.x}\t{t.y}\t{t.w}\t{t.h}\t{rec.area_ratio!r}\t{derive_seed(occ_cfg.seed, i)}"
+            f"\t{t.x}\t{t.y}\t{t.w}\t{t.h}\t{rec.area_ratio!r}\t{derive_seed(os_seed, i)}"
         )
     write_lines(out_dir / "manifest.tsv", lines)
     mean_ratio = float(np.mean([r.area_ratio for r in records])) if records else 0.0
@@ -203,7 +197,7 @@ def _build_occluded_set(cfg: ExperimentConfig, data: ExperimentData, epoch: int 
     os_seed = derive_seed(cfg.run.seed, TAG_OS)
     if epoch:
         os_seed = derive_seed(os_seed, epoch)
-    return build_occlusion_set(data.train_full, occlusion_config(cfg, os_seed))[0]
+    return build_occlusion_set(data.train_full, cfg.occlusion, os_seed)[0]
 
 
 def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
@@ -216,16 +210,16 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
     """
     data = data or prepare_experiment(cfg)
     alpha = cfg.train.alpha if cfg.run.use_obc else 1.0
-    train_seed = derive_seed(cfg.run.seed, TAG_TRAIN)
+    seed = derive_seed(cfg.run.seed, TAG_TRAIN)
     with warnings.catch_warnings():
         if not cfg.run.use_obc:
             warnings.simplefilter("ignore")  # alpha=1 is deliberate here
-        tcfg = train_config(cfg, train_seed, alpha)
+        tcfg = dataclasses.replace(cfg.train, alpha=alpha)  # warns for an alpha of 0 or 1
     if not cfg.run.use_os:
-        return train(data.train_full, tcfg)
+        return train(data.train_full, tcfg, seed)
     if cfg.occlusion.regenerate_per_epoch:
-        return train(data.train_full, tcfg, occlusions=lambda e: _build_occluded_set(cfg, data, e))
-    return train(data.train_full + _build_occluded_set(cfg, data), tcfg)
+        return train(data.train_full, tcfg, seed, lambda e: _build_occluded_set(cfg, data, e))
+    return train(data.train_full + _build_occluded_set(cfg, data), tcfg, seed)
 
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
@@ -342,18 +336,14 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     out_dir = Path(out_dir)
     if not alphas:
         raise ValueError("no alpha values to sweep")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha {a} outside [0, 1]")
+    with warnings.catch_warnings():  # an alpha outside [0, 1] is refused here, before any work
+        warnings.simplefilter("ignore")  # train_model warns for an alpha of 0 or 1
+        trains = [dataclasses.replace(cfg.train, alpha=a) for a in sorted(alphas)]
     data = prepare_experiment(cfg)  # alpha never reaches data, split or probes
+    run = dataclasses.replace(cfg.run, use_os=True, use_obc=True)
     results = {}
-    for a in sorted(alphas):
-        sub = dataclasses.replace(
-            cfg,
-            train=dataclasses.replace(cfg.train, alpha=a),
-            run=dataclasses.replace(cfg.run, use_os=True, use_obc=True),
-        )
-        results[a] = train_and_eval(sub, data)
+    for t in trains:
+        results[t.alpha] = train_and_eval(dataclasses.replace(cfg, train=t, run=run), data)
     shots = sorted(next(iter(results.values())))
     _write_provenance(cfg, out_dir)
     rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]

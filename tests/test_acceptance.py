@@ -163,7 +163,7 @@ class TestCriterion3OcclusionInvariant:
     def test_area_band_and_outside_pixels(self):
         t0 = time.time()
         sources = generate_synthetic_dataset(4, 2, 32, 64, SplitMix64(99))
-        cfg = OcclusionConfig(patch_side=16, ratio_lo=0.1, ratio_hi=0.3, seed=0)
+        cfg = OcclusionConfig(patch_side=16, ratio_lo=0.1, ratio_hi=0.3)
         total = 32 * 64
         draws = 10**4
         for i in range(draws):
@@ -236,28 +236,22 @@ class TestCriterion6LossIdentities:
     def test_alpha_one_freezes_obc_head(self):
         t0 = time.time()
         samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(6))
-        arch = ArchSpec(
-            input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2))
-        )
+        geometry = dict(input_side=12, resize_side=14, conv_channels=(4, 8))
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = TrainConfig(
-                alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, seed=3, arch=arch
-            )
-        initial = init_params(arch, 4, derive_seed(cfg.seed, 0))
-        final, history = train(samples, cfg)
+            cfg = TrainConfig(alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
+        initial = init_params(cfg.arch, 4, derive_seed(3, 0))
+        final, history = train(samples, cfg, 3)
         assert np.array_equal(initial.obc_w, final.obc_w)
         assert np.array_equal(initial.obc_b, final.obc_b)
         assert not np.array_equal(initial.id_w, final.id_w)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg8 = TrainConfig(
-                alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, seed=3, arch=arch
-            )
-        _, hist8 = train(samples, cfg8)
+            cfg8 = TrainConfig(alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
+        _, hist8 = train(samples, cfg8, 3)
         for _, total, lp, lo in hist8:
             assert total == 0.8 * lp + (1.0 - 0.8) * lo
         for _, total, lp, lo in history:
@@ -362,11 +356,10 @@ class TestCriterion8SaliencyMetric:
             assert detection_precision(empty, subset_annotation) == 0.0
 
         samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(9))
-        arch = ArchSpec(
-            input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2))
-        )
-        cfg = TrainConfig(learning_rate=0.02, batch_size=8, iterations=60, seed=10, arch=arch)
-        params, _ = train(samples, cfg)
+        geometry = dict(input_side=12, resize_side=14, conv_channels=(4, 8))
+        cfg = TrainConfig(learning_rate=0.02, batch_size=8, iterations=60, **geometry)
+        arch = cfg.arch
+        params, _ = train(samples, cfg, 10)
         from occreid.model import preprocess_image
 
         chunks = saliency_maps(params, [preprocess_image(s.image, arch) for s in samples])

@@ -145,6 +145,12 @@ class TestConfig:
         assert documented.sections() == defaults.sections()
         for section in defaults.sections():
             assert list(documented[section]) == list(defaults[section]), section
+        # and the values it shows are the defaults
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "readme.ini"
+            with path.open("w", encoding="utf-8") as f:
+                documented.write(f)
+            assert load_config(path) == ExperimentConfig()
 
     def test_readme_library_block_runs(self):
         # a public name the docs import but the package no longer has fails here
@@ -209,7 +215,7 @@ class TestConfigBuilds:
         import warnings
         from pathlib import Path
 
-        from occreid.config import arch_spec, occlusion_config, probe_occlusion_config, train_config
+        from occreid.model import ArchSpec, ConvSpec
         from occreid.occsim import check_patch_fits, check_target_fits
 
         text = f"[train]\n{train}[dataset]\n{dataset}[occlusion]\n{occlusion}"
@@ -222,13 +228,16 @@ class TestConfigBuilds:
                 sections = ("train", "dataset", "occlusion", "eval")
                 assert any(f"[{sec}] " in str(e) for sec in sections)
                 return
+        t = cfg.train
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # alpha 0 or 1 warns by design
-            tcfg = train_config(cfg, 3, cfg.train.alpha)
-        assert tcfg.arch == arch_spec(cfg)
-        for build in (occlusion_config, probe_occlusion_config):
+            tcfg = dataclasses.replace(t)
+        convs = tuple(ConvSpec(c, t.kernel, t.stride) for c in t.conv_channels)
+        assert tcfg.arch == ArchSpec(t.input_side, t.resize_side, 3, convs)
+        for occ in (cfg.occlusion, cfg.occlusion.probe_config()):
+            occ.check()
             for check in (check_patch_fits, check_target_fits):
-                check(build(cfg, 3), cfg.dataset.image_width, cfg.dataset.image_height)
+                check(occ, cfg.dataset.image_width, cfg.dataset.image_height)
 
 
 class TestSimulateCommand:
@@ -383,7 +392,7 @@ class TestSaliencyCommand:
 
         root = tmp_path / "data"
         samples = generate_synthetic_dataset(4, 3, 16, 24, SplitMix64(8))
-        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=3))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6), 3)
         for s in samples:
             p = root / "whole" / f"{s.identity:03d}"
             p.mkdir(parents=True, exist_ok=True)
@@ -528,6 +537,11 @@ class TestExitCodes:
             pytest.param("occlusion", {"aspect_lo": "5e-324"}, id="aspect_lo = 5e-324"),
             pytest.param("occlusion", {"probe_band": "0.1"}, id="probe_band = 0.1 on 16x24"),
             pytest.param("dataset", {"image_width": "2"}, id="image_width = 2"),
+            pytest.param("train", {"learning_rate": "nan"}, id="learning_rate = nan"),
+            pytest.param("train", {"learning_rate": "inf"}, id="learning_rate = inf"),
+            pytest.param("occlusion", {"probe_band": "nan"}, id="probe_band = nan"),
+            pytest.param("train", {"lr_decay_every": "-5"}, id="lr_decay_every = -5"),
+            pytest.param("eval", {"shots": "1,1"}, id="shots = 1,1"),
         ],
     )
     def test_bad_eval_value_fails_before_any_work(self, tmp_path, capsys, section, bad):

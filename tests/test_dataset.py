@@ -178,7 +178,7 @@ class TestProbeGallery:
         samples = generate_synthetic_dataset(3, 4, 8, 16, SplitMix64(5))
         from occreid.occsim import OcclusionConfig, build_occlusion_set
 
-        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4, seed=2))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4), 2)
         pg = make_probe_gallery(samples + z, 2, SplitMix64(0))
         assert all(s.occlusion is Occlusion.ARTIFICIAL for s in pg.probes)
         assert len(pg.probes) == len(z)
@@ -200,7 +200,7 @@ class TestProbeGallery:
         from occreid.occsim import OcclusionConfig, build_occlusion_set
 
         samples = generate_synthetic_dataset(4, 5, 8, 16, SplitMix64(6))
-        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4, seed=1))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=4), 1)
         both = samples + z
         mixed = both[::-2] + both[::2]
         for seed in range(5):

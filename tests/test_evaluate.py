@@ -182,7 +182,7 @@ class TestCmcCurve:
 @pytest.fixture(scope="module")
 def setup():
     samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(3))
-    z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=5))
+    z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6), 5)
     arch = ArchSpec(
         input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2))
     )
@@ -260,7 +260,7 @@ class TestEvaluate:
         from occreid.rng import derive_seed
 
         samples = generate_synthetic_dataset(6, 10, 16, 24, SplitMix64(4))
-        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=2))
+        z, _ = build_occlusion_set(samples, OcclusionConfig(patch_side=6), 2)
         samples = samples + z
         shots = (1, 2, 5, 9)
         for feature_seed in range(4):

@@ -506,17 +506,38 @@ class TestTrainConfig:
         with pytest.warns(UserWarning):
             TrainConfig(alpha=0.0)
 
+    def test_config_broken_after_construction_refused_before_any_work(self):
+        # both configs are plain dataclasses, so a field set after
+        # construction is checked again before a sample is read
+        from occreid.occsim import OcclusionConfig, build_occlusion_set
 
-def small_train_setup(iterations, seed=3, alpha=0.8, ids=4):
+        def unread():
+            raise AssertionError("a sample was read before the config was checked")
+            yield
+
+        cfg = TrainConfig()
+        cfg.batch_size = 0
+        with pytest.raises(ValueError, match="batch_size"):
+            train(unread(), cfg, 0)
+        occ = OcclusionConfig()
+        occ.ratio_lo, occ.ratio_hi = 0.5, 0.2
+        with pytest.raises(ValueError, match="ratio_lo"):
+            build_occlusion_set(unread(), occ, 0)
+
+
+SEED = 3  # the train seed of small_train_setup's runs
+
+
+def small_train_setup(iterations, alpha=0.8, ids=4):
     samples = generate_synthetic_dataset(ids, 4, 16, 24, SplitMix64(2))
-    arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2), ConvSpec(8, 3, 2)))
     cfg = TrainConfig(
         alpha=alpha,
         learning_rate=0.02,
         batch_size=8,
         iterations=iterations,
-        seed=seed,
-        arch=arch,
+        input_side=12,
+        resize_side=14,
+        conv_channels=(4, 8),
     )
     return samples, cfg
 
@@ -524,22 +545,22 @@ def small_train_setup(iterations, seed=3, alpha=0.8, ids=4):
 class TestTrain:
     def test_loss_decreases_on_toy_run(self):
         samples, cfg = small_train_setup(200)
-        _, history = train(samples, cfg)
+        _, history = train(samples, cfg, SEED)
         first = np.mean([h[1] for h in history[:10]])
         last = np.mean([h[1] for h in history[-10:]])
         assert last < first
 
     def test_history_length_and_decomposition(self):
         samples, cfg = small_train_setup(50)
-        _, history = train(samples, cfg)
+        _, history = train(samples, cfg, SEED)
         assert len(history) == 50
         for _, total, lp, lo in history:
             assert total == cfg.alpha * lp + (1.0 - cfg.alpha) * lo
 
     def test_deterministic_end_to_end(self):
         samples, cfg = small_train_setup(40)
-        pa, ha = train(samples, cfg)
-        pb, hb = train(samples, cfg)
+        pa, ha = train(samples, cfg, SEED)
+        pb, hb = train(samples, cfg, SEED)
         assert ha == hb
         for (_, a), (_, b) in zip(pa.tensors(), pb.tensors()):
             assert np.array_equal(a, b)
@@ -550,18 +571,11 @@ class TestTrain:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg1 = TrainConfig(
-                alpha=1.0,
-                learning_rate=cfg.learning_rate,
-                batch_size=cfg.batch_size,
-                iterations=30,
-                seed=cfg.seed,
-                arch=cfg.arch,
-            )
+            cfg1 = dataclasses.replace(cfg, alpha=1.0)
         from occreid.rng import derive_seed
 
-        initial = init_params(cfg.arch, 4, derive_seed(cfg1.seed, 0))
-        final, _ = train(samples, cfg1)
+        initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
+        final, _ = train(samples, cfg1, SEED)
         assert np.array_equal(initial.obc_w, final.obc_w)
         assert np.array_equal(initial.obc_b, final.obc_b)
         assert not np.array_equal(initial.id_w, final.id_w)
@@ -572,18 +586,11 @@ class TestTrain:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg0 = TrainConfig(
-                alpha=0.0,
-                learning_rate=cfg.learning_rate,
-                batch_size=cfg.batch_size,
-                iterations=30,
-                seed=cfg.seed,
-                arch=cfg.arch,
-            )
+            cfg0 = dataclasses.replace(cfg, alpha=0.0)
         from occreid.rng import derive_seed
 
-        initial = init_params(cfg.arch, 4, derive_seed(cfg0.seed, 0))
-        final, _ = train(samples, cfg0)
+        initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
+        final, _ = train(samples, cfg0, SEED)
         assert np.array_equal(initial.id_w, final.id_w)
         assert np.array_equal(initial.id_b, final.id_b)
         assert not np.array_equal(initial.obc_w, final.obc_w)
@@ -591,7 +598,7 @@ class TestTrain:
     def test_empty_set_rejected(self):
         _, cfg = small_train_setup(5)
         with pytest.raises(ValueError):
-            train([], cfg)
+            train([], cfg, SEED)
 
     def test_mixed_channels_name_the_sample(self):
         # a gray image among colour ones, in the full-body set or in an
@@ -599,12 +606,12 @@ class TestTrain:
         samples, cfg = small_train_setup(5)
         gray = dataclasses.replace(samples[2], id="gray", image=Image(np.zeros((24, 16), np.uint8)))
         with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
-            train(samples[:2] + [gray] + samples[3:], cfg)
+            train(samples[:2] + [gray] + samples[3:], cfg, SEED)
         with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
-            train(samples, cfg, occlusions=lambda e: [gray] + samples[1:])
+            train(samples, cfg, SEED, occlusions=lambda e: [gray] + samples[1:])
 
 
-def replay_train_inputs(samples, cfg, occlusions=None):
+def replay_train_inputs(samples, cfg, seed, occlusions=None):
     """The float64 network inputs train should build, with their identity
     labels and occlusion flags: one (inputs, labels, flags) triple per
     iteration, rebuilt epoch by epoch from the replayed order and jitter
@@ -624,8 +631,8 @@ def replay_train_inputs(samples, cfg, occlusions=None):
             occluded = list(occlusions(epoch))
             resized += [resize(z.image, side, side) for z in occluded]
             members += occluded
-        order_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 1), start))
-        jitter_rng = SplitMix64(derive_seed(derive_seed(cfg.seed, 2), start))
+        order_rng = SplitMix64(derive_seed(derive_seed(seed, 1), start))
+        jitter_rng = SplitMix64(derive_seed(derive_seed(seed, 2), start))
         queue = []
         for _ in range(min(epoch_len, cfg.iterations - start)):
             while len(queue) < cfg.batch_size:
@@ -656,11 +663,11 @@ class TestTrainBatchAssembly:
         from occreid.occsim import OcclusionConfig, build_occlusion_set
 
         sources = generate_synthetic_dataset(2, 3, 16, 24, SplitMix64(2))
-        arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         # 6 samples: with occlusions an epoch is ceil(12 / 5) = 3 iterations, so
         # 8 iterations run epochs of 3, 3 and 2, and each epoch wraps the shuffle
-        cfg = TrainConfig(batch_size=5, iterations=8, seed=11, arch=arch, max_jitter=jitter)
-        side = arch.resize_side
+        geometry = dict(input_side=12, resize_side=18, conv_channels=(4,))
+        cfg = TrainConfig(batch_size=5, iterations=8, max_jitter=jitter, **geometry)
+        side = cfg.resize_side
         samples = list(sources)
         if presized:  # every other sample arrives already at resize_side
             samples[::2] = [
@@ -670,7 +677,7 @@ class TestTrainBatchAssembly:
 
         def occlusions(epoch):  # drawn from the unresized sources, one stream per epoch
             epochs.append(epoch)
-            return build_occlusion_set(sources, OcclusionConfig(patch_side=6, seed=epoch))[0]
+            return build_occlusion_set(sources, OcclusionConfig(patch_side=6), epoch)[0]
 
         seen, targets, resized = [], [], []
 
@@ -690,10 +697,10 @@ class TestTrainBatchAssembly:
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "backward", spy_backward)
         monkeypatch.setattr(model, "resize", spy_resize)
-        train(samples, cfg, occlusions if occluded else None)
+        train(samples, cfg, 11, occlusions if occluded else None)
         built = list(epochs)
         assert built == ([0, 1, 2] if occluded else [])
-        want = replay_train_inputs(samples, cfg, occlusions if occluded else None)
+        want = replay_train_inputs(samples, cfg, 11, occlusions if occluded else None)
         assert len(seen) == len(targets) == len(want) == cfg.iterations
         for got, got_targets, (ref, labels, flags) in zip(seen, targets, want):
             # training runs in float32; v / 255 rounds to the same float32 either way
@@ -707,12 +714,13 @@ class TestTrainBatchAssembly:
         kept = [img is out for img, out in resized]
         assert kept == [presized and i % 2 == 0 for i in range(n)] + [False] * (n * len(built))
 
-    @pytest.mark.parametrize("jitter", [-1, 4])
+    @pytest.mark.parametrize("jitter", [-2, 4])
     def test_jitter_outside_crop_margin_rejected(self, jitter):
+        # -1 is the crop margin, 3 here; any other value outside [0, 3] is refused
         samples = generate_synthetic_dataset(2, 2, 16, 24, SplitMix64(2))
-        arch = ArchSpec(input_side=12, resize_side=18, in_channels=3, convs=(ConvSpec(4, 3, 2),))
         with pytest.raises(ValueError, match="max_jitter"):
-            train(samples, TrainConfig(iterations=1, arch=arch, max_jitter=jitter))
+            cfg = TrainConfig(iterations=1, input_side=12, resize_side=18, max_jitter=jitter)
+            train(samples, cfg, 0)
 
 
 class TestFloat32Training:
@@ -736,7 +744,7 @@ class TestFloat32Training:
 
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "backward", spy_backward)
-        params, _ = train(samples, cfg)
+        params, _ = train(samples, cfg, SEED)
         f32 = np.dtype(np.float32)
         assert seen == [("forward", f32, {f32}), ("backward", {f32}, {f32})] * cfg.iterations
         for name, arr in params.tensors():
@@ -752,12 +760,13 @@ class TestFloat32Training:
         cfg = dataclasses.replace(cfg, max_jitter=cfg.arch.default_jitter)
 
         def occlusions(epoch):
-            return build_occlusion_set(samples, OcclusionConfig(patch_side=6, seed=epoch))[0]
+            return build_occlusion_set(samples, OcclusionConfig(patch_side=6), epoch)[0]
 
-        _, history = train(samples, cfg, occlusions)
-        params = init_params(cfg.arch, 4, derive_seed(cfg.seed, 0))
+        _, history = train(samples, cfg, SEED, occlusions)
+        params = init_params(cfg.arch, 4, derive_seed(SEED, 0))
         reference = []
-        for it, (x, labels, flags) in enumerate(replay_train_inputs(samples, cfg, occlusions)):
+        replayed = replay_train_inputs(samples, cfg, SEED, occlusions)
+        for it, (x, labels, flags) in enumerate(replayed):
             trace = forward(params, x)
             lp, lo = _mean_losses(trace, labels, flags)
             reference.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
@@ -845,7 +854,7 @@ class TestPreprocessImages:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         samples, cfg = small_train_setup(10)
-        params, _ = train(samples, cfg)
+        params, _ = train(samples, cfg, SEED)
         path = tmp_path / "model.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)

@@ -97,9 +97,9 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, occlusions=None):
+        def spy(samples, cfg, seed, occlusions=None):
             seen["n"] = len(samples)
-            return original(samples, cfg, occlusions)
+            return original(samples, cfg, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_os=True))
@@ -109,21 +109,37 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, occlusions=None):
+        def spy(samples, cfg, seed, occlusions=None):
             seen["alpha"] = cfg.alpha
-            return original(samples, cfg, occlusions)
+            return original(samples, cfg, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         train_model(tiny_cfg(use_obc=False))
         assert seen["alpha"] == 1.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_warning_follows_the_configured_alpha(self, alpha):
+        # a configured alpha of 0 or 1 warns; the alpha of 1 that
+        # use_obc = false forces does not
+        import warnings
+
+        cfg = tiny_cfg()
+        cfg.train.iterations = 1
+        cfg.train.alpha = alpha
+        with pytest.warns(UserWarning, match=f"alpha={alpha}"):
+            train_model(cfg)
+        cfg.run.use_obc = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_model(cfg)
+
     def test_regeneration_rebuilds_occlusions_per_epoch(self, monkeypatch):
         calls = []
         original = pipeline.build_occlusion_set
 
-        def spy(samples, occ_cfg):
-            calls.append(occ_cfg.seed)
-            return original(samples, occ_cfg)
+        def spy(samples, occ_cfg, seed):
+            calls.append(seed)
+            return original(samples, occ_cfg, seed)
 
         monkeypatch.setattr(pipeline, "build_occlusion_set", spy)
         cfg = tiny_cfg()
