@@ -17,11 +17,10 @@ from .dataset import (
     scan_dataset,
     split_identities,
 )
-from .evaluate import EvalReport, cmc_curve, evaluate
+from .evaluate import EvalReport, evaluate
 from .imaging import (
     Image,
     Rect,
-    jittered_center_crop,
     load_image,
     resize,
     save_image,

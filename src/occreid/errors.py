@@ -17,10 +17,6 @@ class CorruptData(OccReidError):
     """File header or payload does not match the declared format."""
 
 
-class InsufficientSize(OccReidError):
-    """Image too small for the requested crop plus jitter margin."""
-
-
 class InfeasibleGeometry(OccReidError):
     """No integer rectangle satisfies the requested area/aspect/band bounds."""
 
@@ -60,14 +56,6 @@ class NonFiniteParameter(OccReidError):
 
 class NonFiniteFeature(OccReidError):
     """A probe-to-gallery distance is NaN or Inf (broken model features)."""
-
-
-class LengthMismatch(OccReidError):
-    """Feature vectors of different lengths compared."""
-
-
-class UnknownProbeIdentity(OccReidError):
-    """Probe identity absent from the gallery."""
 
 
 class DimMismatch(OccReidError):

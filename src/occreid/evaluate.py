@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import draw_gallery, gallery_pool
-from .errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
+from .errors import NonFiniteFeature
 from .rng import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ class EvalReport:
     rank5: float
     rank10: float
     per_trial_seeds: tuple
-    draws: tuple = ()
-    probe_ids: tuple = ()
+    draws: tuple
+    probe_ids: tuple
 
     @classmethod
-    def from_curve(cls, cmc, shots, trials, seeds=(), draws=(), probe_ids=()) -> EvalReport:
+    def from_curve(cls, cmc, shots, trials, seeds, draws, probe_ids) -> EvalReport:
         """Rank-k reads cmc[k - 1], clamped to the last rank."""
         cmc = tuple(float(v) for v in cmc)
         r1, r5, r10 = (cmc[min(k, len(cmc)) - 1] * 100.0 for k in (1, 5, 10))
@@ -76,42 +76,6 @@ def _cmc(dist: np.ndarray, rows: np.ndarray, true_col: np.ndarray) -> np.ndarray
     lower_label = np.arange(n_ids)[:, None] < true_col
     rank = (scores < true_score).sum(0) + ((scores == true_score) & lower_label).sum(0)
     return np.cumsum(np.bincount(rank, minlength=n_ids)) / n_probes
-
-
-def cmc_curve(probes, gallery: dict) -> EvalReport:
-    """Single-trial CMC over (feature, identity) probes against a gallery
-    mapping each identity to an equal number of features.
-
-    cmc[r] is the fraction of probes whose true identity sits at rank
-    <= r + 1; the last entry is always 1 because every identity is ranked.
-    """
-    if not probes:
-        raise ValueError("no probes")
-    labels = sorted(gallery)
-    if not labels or not len(gallery[labels[0]]):
-        raise ValueError("empty gallery")
-    shots = len(gallery[labels[0]])
-    for ident in labels:
-        if len(gallery[ident]) != shots:
-            raise ValueError(
-                f"identity {ident} has {len(gallery[ident])} gallery images, "
-                f"identity {labels[0]} has {shots}; galleries must be even"
-            )
-    column = {ident: j for j, ident in enumerate(labels)}
-    for _, ident in probes:
-        if ident not in column:
-            raise UnknownProbeIdentity(f"probe identity {ident} not in gallery")
-    shapes = {np.shape(f) for ident in labels for f in gallery[ident]}
-    shapes |= {np.shape(f) for f, _ in probes}
-    if len(shapes) > 1:
-        raise LengthMismatch(f"feature lengths differ: {sorted(shapes)}")
-
-    g = np.asarray([gallery[ident] for ident in labels], dtype=np.float64)
-    p = np.asarray([f for f, _ in probes], dtype=np.float64)
-    dist = _distances(g.reshape(-1, g.shape[-1]), p)
-    rows = np.arange(g.shape[0] * shots).reshape(-1, shots).T  # identity i's n-th image
-    true_col = np.array([column[ident] for _, ident in probes])
-    return EvalReport.from_curve(_cmc(dist, rows, true_col), shots, 1)
 
 
 def evaluate(features, samples, shots, trials: int = 10, seed: int = 0) -> dict:

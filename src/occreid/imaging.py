@@ -1,11 +1,10 @@
 """Raster image primitives.
 
-8-bit row-major images with a binary PPM (P6) / PGM (P5) codec, bilinear
-resize and the jittered center-crop that defines training augmentation.
-Storage is uint8; compute happens on float64 views and is written back
-with round-half-away-from-zero, clamped to [0, 255]. All operations are
-pure: inputs are never mutated and identical inputs (including generator
-state) produce bit-identical outputs.
+8-bit row-major images with a binary PPM (P6) / PGM (P5) codec and
+bilinear resize. Storage is uint8; compute happens on float64 views and
+is written back with round-half-away-from-zero, clamped to [0, 255]. All
+operations are pure: inputs are never mutated and identical inputs
+produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptData, InsufficientSize, ShapeMismatch, UnsupportedFormat
-from .rng import SplitMix64
+from .errors import CorruptData, ShapeMismatch, UnsupportedFormat
 
 _WHITESPACE = (0x20, 0x09, 0x0A, 0x0B, 0x0C, 0x0D)
 
@@ -243,29 +241,3 @@ def resize(img: Image, w: int, h: int) -> Image:
         return img
     out = bilinear_resize_array(img.pixels, w, h)
     return Image(np.clip(np.floor(out + 0.5), 0.0, 255.0).astype(np.uint8))
-
-
-def jittered_center_crop(
-    img: Image, side: int, max_jitter: int, rng: SplitMix64 | None = None
-) -> Image:
-    """Square side-by-side crop around the center, perturbed by up to max_jitter.
-
-    Both offsets are independent uniform integers in [-max_jitter, +max_jitter],
-    drawn x first then y. The caller is expected to have resized the image so
-    that side + 2 * max_jitter fits within both dims.
-    """
-    if side < 1 or max_jitter < 0:
-        raise ValueError(f"side must be >= 1 and max_jitter >= 0, got {side}, {max_jitter}")
-    if side + 2 * max_jitter > min(img.width, img.height):
-        raise InsufficientSize(
-            f"side {side} with jitter {max_jitter} needs {side + 2 * max_jitter} px, "
-            f"image is {img.width}x{img.height}"
-        )
-    if max_jitter > 0 and rng is None:
-        raise ValueError("max_jitter > 0 requires a generator")
-    cx = (img.width - side) // 2
-    cy = (img.height - side) // 2
-    if max_jitter > 0:
-        cx += rng.randint(-max_jitter, max_jitter)
-        cy += rng.randint(-max_jitter, max_jitter)
-    return Image(img.pixels[cy : cy + side, cx : cx + side])

@@ -455,7 +455,7 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
             queue.extend(block)
         batch = queue[: cfg.batch_size]
         del queue[: cfg.batch_size]
-        # one (x, y) offset per crop in batch order, drawn as jittered_center_crop draws it
+        # one (x, y) offset per crop in batch order, x drawn before y
         shift = np.zeros((len(batch), 2), dtype=np.int64)
         if jitter:
             shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]

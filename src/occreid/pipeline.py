@@ -24,11 +24,12 @@ import numpy as np
 from .config import ExperimentConfig, write_resolved
 from .dataset import (
     Occlusion,
+    gallery_pool,
     generate_synthetic_dataset,
     scan_dataset,
     split_identities,
 )
-from .errors import InfeasibleGeometry, UnsupportedFormat
+from .errors import InfeasibleGeometry, InsufficientShots, UnsupportedFormat
 from .evaluate import EvalReport, evaluate
 from .fileio import write_lines
 from .imaging import Image, load_image, save_image
@@ -52,7 +53,6 @@ TAG_OS = 3
 TAG_PROBE = 4
 TAG_TRAIN = 5
 TAG_EVAL = 6
-TAG_REPLICATE = 100
 
 _REGIMES = (
     ("baseline", False, False),
@@ -297,9 +297,16 @@ def train_and_eval(cfg: ExperimentConfig, data: ExperimentData | None = None) ->
 
     train returns float32-exact parameters, which a checkpoint stores
     exactly, so the result matches a train command followed by an eval of
-    its checkpoint.
+    its checkpoint. A test split too small for the largest shot count
+    fails before training.
     """
     data = data or prepare_experiment(cfg)
+    need = max(cfg.eval.shots)
+    for ident, members in gallery_pool(data.test_samples)[0].items():
+        if len(members) < need:
+            raise InsufficientShots(
+                f"identity {ident} has {len(members)} full-body images, need {need}"
+            )
     params, _ = train_model(cfg, data)
     return evaluate_model(cfg, params, data)
 
@@ -336,6 +343,8 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
     out_dir = Path(out_dir)
     if not alphas:
         raise ValueError("no alpha values to sweep")
+    if len(set(alphas)) < len(alphas):
+        raise ValueError(f"an alpha is repeated in {tuple(alphas)}")
     with warnings.catch_warnings():  # an alpha outside [0, 1] is refused here, before any work
         warnings.simplefilter("ignore")  # train_model warns for an alpha of 0 or 1
         trains = [dataclasses.replace(cfg.train, alpha=a) for a in sorted(alphas)]

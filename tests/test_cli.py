@@ -645,6 +645,7 @@ class TestExitCodes:
             ("eval", ["--checkpoint", "{gray}"], 2),  # fails at the first forward
             ("saliency", ["--checkpoint", "{valid}", "--compare", "{gray}"], 2),
             ("sweep-alpha", ["--alphas", ","], 1),
+            ("sweep-alpha", ["--alphas", "0.5,0.5"], 1),
         ],
     )
     def test_failing_command_writes_nothing(self, tmp_path, config_path, capsys, command, extra, code):
@@ -707,6 +708,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: [occlusion] aspect_hi 1e+300" in err and "16x24 image" in err
         assert str(sorted(root.glob("whole/*/*.ppm"))[0]) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "sweep-alpha"])
+    def test_too_few_test_images_for_shots_fails_before_training(self, tmp_path, monkeypatch, capsys, command):
+        # 4 whole images per identity cannot fill a 5-shot gallery; the
+        # commands that train and then evaluate find that out before training
+        from occreid import pipeline
+
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(6, 4, 16, 24, SplitMix64(8)):
+            for branch in ("whole", "occluded"):
+                p = root / branch / f"{s.identity:03d}"
+                p.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, p / f"{s.id}.ppm")
+        cfg = _scanned_ini(root, tmp_path / "cfg.ini")
+        cfg.write_text(cfg.read_text("utf-8").replace("shots = 1,2", "shots = 1,2,5"), "utf-8")
+        calls = []
+        real = pipeline.train
+        monkeypatch.setattr(pipeline, "train", lambda *a, **k: calls.append(a) or real(*a, **k))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "4 full-body images, need 5" in err and "Traceback" not in err
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "report", "sweep-alpha"])

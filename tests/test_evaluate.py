@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occreid.dataset import Occlusion, generate_synthetic_dataset
-from occreid.errors import LengthMismatch, NonFiniteFeature, UnknownProbeIdentity
-from occreid.evaluate import cmc_curve, evaluate
+from occreid.dataset import Occlusion, PersonSample, generate_synthetic_dataset
+from occreid.errors import NonFiniteFeature
+from occreid.evaluate import evaluate
 from occreid.model import ArchSpec, ConvSpec, extract_features, init_params, preprocess_image
 from occreid.occsim import OcclusionConfig, build_occlusion_set
 from occreid.rng import SplitMix64
@@ -36,12 +36,30 @@ def brute_force_cmc(probes, gallery, shots=None):
     return out
 
 
+def retrieval_inputs(probes, gallery):
+    """(features, samples) for evaluate from (feature, identity) probes and
+    a gallery mapping each identity to its features: every gallery feature
+    is a full-body sample, every probe an artificial one. evaluate never
+    reads the image."""
+    rows = [(f, ident, Occlusion.FULL_BODY) for ident, feats in gallery.items() for f in feats]
+    rows += [(f, ident, Occlusion.ARTIFICIAL) for f, ident in probes]
+    samples = [PersonSample(f"s{k}", None, ident, occ) for k, (_, ident, occ) in enumerate(rows)]
+    return np.array([f for f, _, _ in rows], dtype=np.float64), samples
+
+
+def one_trial(probes, gallery):
+    """evaluate's single-trial report; every identity has `shots` gallery
+    features and the one draw takes all of them."""
+    shots = len(next(iter(gallery.values())))
+    return evaluate(*retrieval_inputs(probes, gallery), (shots,), trials=1)[shots]
+
+
 class TestCmcCurve:
     def test_perfect_probes_give_flat_one(self):
         gen = np.random.Generator(np.random.PCG64(7))
         gallery = {i: [gen.normal(size=3)] for i in range(4)}
         probes = [(gallery[i][0], i) for i in range(4)]
-        report = cmc_curve(probes, gallery)
+        report = one_trial(probes, gallery)
         assert report.cmc == (1.0, 1.0, 1.0, 1.0)
         assert report.rank1 == 100.0
 
@@ -57,52 +75,47 @@ class TestCmcCurve:
             (np.array([0.5, 0.0]), 1),
             (np.array([1.5, 0.0]), 2),
         ]
-        report = cmc_curve(probes, gallery)
+        report = one_trial(probes, gallery)
         assert report.cmc == (0.5, 1.0, 1.0)
 
     def test_last_rank_always_one(self):
         gen = np.random.Generator(np.random.PCG64(8))
         gallery = {i: [gen.normal(size=2)] for i in range(5)}
         probes = [(gen.normal(size=2), i) for i in range(5)]
-        assert cmc_curve(probes, gallery).cmc[-1] == 1.0
-
-    def test_unknown_probe_identity(self):
-        gallery = {1: [np.zeros(2)]}
-        with pytest.raises(UnknownProbeIdentity):
-            cmc_curve([(np.zeros(2), 9)], gallery)
+        assert one_trial(probes, gallery).cmc[-1] == 1.0
 
     def test_monotone_nondecreasing(self):
         gen = np.random.Generator(np.random.PCG64(9))
         gallery = {i: [gen.normal(size=3) for _ in range(2)] for i in range(6)}
         probes = [(gen.normal(size=3), int(gen.integers(0, 6))) for _ in range(10)]
-        cmc = cmc_curve(probes, gallery).cmc
+        cmc = one_trial(probes, gallery).cmc
         assert all(a <= b for a, b in zip(cmc, cmc[1:]))
 
     def test_gallery_insertion_order_irrelevant(self):
         gen = np.random.Generator(np.random.PCG64(10))
         feats = {i: [gen.normal(size=3) for _ in range(2)] for i in range(5)}
         probes = [(gen.normal(size=3), i) for i in range(5)]
-        forward_order = cmc_curve(probes, dict(sorted(feats.items()))).cmc
-        reverse_order = cmc_curve(probes, dict(sorted(feats.items(), reverse=True))).cmc
+        forward_order = one_trial(probes, dict(sorted(feats.items()))).cmc
+        reverse_order = one_trial(probes, dict(sorted(feats.items(), reverse=True))).cmc
         assert forward_order == reverse_order
 
     def test_exact_match_ranks_first(self):
         gallery = {1: [np.array([0.0, 0.0])], 2: [np.array([5.0, 5.0])]}
-        assert cmc_curve([(np.array([5.0, 5.0]), 2)], gallery).cmc == (1.0, 1.0)
+        assert one_trial([(np.array([5.0, 5.0]), 2)], gallery).cmc == (1.0, 1.0)
 
     def test_tie_broken_by_lower_label(self):
         # equidistant from identities 1 and 3; the true identity 3 loses the
         # tie to the lower label and lands at rank 2
         gallery = {3: [np.array([1.0, 0.0])], 1: [np.array([-1.0, 0.0])]}
-        assert cmc_curve([(np.array([0.0, 0.0]), 3)], gallery).cmc == (0.0, 1.0)
+        assert one_trial([(np.array([0.0, 0.0]), 3)], gallery).cmc == (0.0, 1.0)
 
     def test_three_four_five_tie_exact_far_from_origin(self):
         # both distances are exactly 5 when computed from differences; the
         # |a|^2 + |b|^2 - 2ab expansion rounds them apart (5.29 vs 4.90)
         c = np.array([1e8 + 0.25, 3e7 + 0.5])
         gallery = {1: [c + [3.0, 4.0]], 2: [c + [4.0, 3.0]]}
-        assert cmc_curve([(c, 2)], gallery).cmc == (0.0, 1.0)
-        assert cmc_curve([(c, 1)], gallery).cmc == (1.0, 1.0)
+        assert one_trial([(c, 2)], gallery).cmc == (0.0, 1.0)
+        assert one_trial([(c, 1)], gallery).cmc == (1.0, 1.0)
 
     def test_two_shot_matches_hand_computation(self):
         # four identities, two 2-d features each; identity score is the min
@@ -123,27 +136,17 @@ class TestCmcCurve:
         expected = [i for _, i in sorted((d, i) for i, d in dists.items())]
         assert expected == [1, 3, 2, 4]  # frozen from the hand computation
         for rank, ident in enumerate(expected):
-            cmc = cmc_curve([(probe, ident)], gallery).cmc
+            cmc = one_trial([(probe, ident)], gallery).cmc
             assert cmc == tuple(float(r >= rank) for r in range(4))
-        assert cmc_curve([(probe, 1)], gallery).shots == 2
+        assert one_trial([(probe, 1)], gallery).shots == 2
 
     def test_scale_equivariance(self):
         gen = np.random.Generator(np.random.PCG64(6))
         gallery = {i: [gen.normal(size=4) for _ in range(2)] for i in range(5)}
         probes = [(gen.normal(size=4), i) for i in range(5) for _ in range(3)]
-        base = cmc_curve(probes, gallery).cmc
+        base = one_trial(probes, gallery).cmc
         scaled = {i: [7.5 * g for g in v] for i, v in gallery.items()}
-        assert cmc_curve([(7.5 * f, i) for f, i in probes], scaled).cmc == base
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cmc_curve([(np.zeros(1), 1)], {1: [np.zeros(2)]})
-        with pytest.raises(LengthMismatch):
-            cmc_curve([(np.zeros(2), 1)], {1: [np.zeros(2)], 2: [np.zeros(3)]})
-
-    def test_empty_gallery(self):
-        with pytest.raises(ValueError, match="empty gallery"):
-            cmc_curve([(np.zeros(2), 1)], {})
+        assert one_trial([(7.5 * f, i) for f, i in probes], scaled).cmc == base
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("where", ["probe", "true identity", "other identity"])
@@ -154,12 +157,7 @@ class TestCmcCurve:
         if where != "probe":
             gallery[1 if where == "true identity" else 2] = [np.array([0.0, bad])]
         with pytest.raises(NonFiniteFeature):
-            cmc_curve([(probe, 1)], gallery)
-
-    def test_uneven_gallery_names_identity(self):
-        gallery = {1: [np.zeros(2), np.ones(2)], 2: [np.zeros(2)], 3: [np.ones(2)] * 2}
-        with pytest.raises(ValueError, match="identity 2 "):
-            cmc_curve([(np.zeros(2), 1)], gallery)
+            one_trial([(probe, 1)], gallery)
 
     @settings(max_examples=30, derandomize=True)
     @given(
@@ -176,7 +174,7 @@ class TestCmcCurve:
         probes = [
             (gen.normal(size=3), int(gen.integers(0, n_idents))) for _ in range(n_probes)
         ]
-        assert list(cmc_curve(probes, gallery).cmc) == brute_force_cmc(probes, gallery)
+        assert list(one_trial(probes, gallery).cmc) == brute_force_cmc(probes, gallery)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +235,7 @@ class TestEvaluate:
             pg = make_probe_gallery(samples, 1, SplitMix64(derive_seed(derive_seed(77, 1), t)))
             gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
             probes = [(feat_of[s.id], s.identity) for s in pg.probes]
-            curves.append(cmc_curve(probes, gallery).cmc)
+            curves.append(brute_force_cmc(probes, gallery))
         avg = evaluate(feats, samples, (1,), trials=3, seed=77)[1]
         assert np.allclose(avg.cmc, np.mean(curves, axis=0), atol=1e-15)
 
@@ -276,8 +274,7 @@ class TestEvaluate:
                     pg = make_probe_gallery(samples, n, rng)
                     gallery = {i: [feat_of[s.id] for s in m] for i, m in pg.gallery.items()}
                     probes = [(feat_of[s.id], s.identity) for s in pg.probes]
-                    curves.append(cmc_curve(probes, gallery).cmc)
-                    assert list(curves[-1]) == brute_force_cmc(probes, gallery)
+                    curves.append(brute_force_cmc(probes, gallery))
                 want = tuple(float(v) for v in np.mean(curves, axis=0))
                 assert reports[n].cmc == want, (feature_seed, n)
 

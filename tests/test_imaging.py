@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occreid.errors import CorruptData, InsufficientSize, ShapeMismatch, UnsupportedFormat
+from occreid.errors import CorruptData, ShapeMismatch, UnsupportedFormat
 from occreid.imaging import (
     Image,
     Rect,
     bilinear_resize_array,
-    jittered_center_crop,
     load_image,
     resize,
     save_image,
 )
-from occreid.rng import SplitMix64
 
 
 def ramp(w, h, channels=1):
@@ -261,47 +259,3 @@ class TestResize:
         out = resize(img, tw, th)
         assert out.pixels.min() >= img.pixels.min()
         assert out.pixels.max() <= img.pixels.max()
-
-
-class TestJitteredCenterCrop:
-    @staticmethod
-    def position_image(side):
-        # channel 0 encodes x, channel 1 encodes y, so the crop origin can
-        # be read back from pixel (0, 0)
-        xs = np.arange(side, dtype=np.uint8)
-        arr = np.zeros((side, side, 3), dtype=np.uint8)
-        arr[:, :, 0] = xs[None, :]
-        arr[:, :, 1] = xs[:, None]
-        return Image(arr)
-
-    def test_zero_jitter_exact_center(self):
-        img = self.position_image(240)
-        out = jittered_center_crop(img, 224, 0)
-        assert (out.pixels[0, 0, 0], out.pixels[0, 0, 1]) == (8, 8)
-        assert out.width == out.height == 224
-
-    def test_origin_within_jitter_box(self):
-        img = self.position_image(240)
-        origins = set()
-        for seed in range(200):
-            out = jittered_center_crop(img, 224, 8, SplitMix64(seed))
-            origin = (int(out.pixels[0, 0, 0]), int(out.pixels[0, 0, 1]))
-            assert 0 <= origin[0] <= 16 and 0 <= origin[1] <= 16
-            origins.add(origin)
-        xs = {o[0] for o in origins}
-        assert min(xs) < 4 and max(xs) > 12  # jitter actually spreads
-
-    def test_insufficient_size(self):
-        img = self.position_image(240)
-        with pytest.raises(InsufficientSize):
-            jittered_center_crop(img, 240, 8, SplitMix64(0))
-
-    def test_same_seed_same_crop(self):
-        img = self.position_image(64)
-        a = jittered_center_crop(img, 48, 4, SplitMix64(5))
-        b = jittered_center_crop(img, 48, 4, SplitMix64(5))
-        assert a == b
-
-    def test_jitter_without_rng_rejected(self):
-        with pytest.raises(ValueError):
-            jittered_center_crop(self.position_image(64), 48, 4, None)

@@ -13,7 +13,7 @@ from occreid.errors import (
     ShapeMismatch,
     UnsupportedFormat,
 )
-from occreid.imaging import Image, jittered_center_crop, resize
+from occreid.imaging import Image, resize
 from occreid.model import (
     FORWARD_CHUNK,
     ArchSpec,
@@ -611,12 +611,22 @@ class TestTrain:
             train(samples, cfg, SEED, occlusions=lambda e: [gray] + samples[1:])
 
 
+def train_crop(img, side, max_jitter=0, rng=None):
+    """The train crop's pixels: a side x side window around the center of
+    img, moved by an x then a y offset drawn from [-max_jitter, max_jitter]."""
+    x, y = (img.width - side) // 2, (img.height - side) // 2
+    if max_jitter:
+        x += rng.randint(-max_jitter, max_jitter)
+        y += rng.randint(-max_jitter, max_jitter)
+    return img.pixels[y : y + side, x : x + side]
+
+
 def replay_train_inputs(samples, cfg, seed, occlusions=None):
     """The float64 network inputs train should build, with their identity
     labels and occlusion flags: one (inputs, labels, flags) triple per
     iteration, rebuilt epoch by epoch from the replayed order and jitter
-    streams with jittered_center_crop on resized Images. Without
-    occlusions the run is one epoch."""
+    streams with train_crop on resized Images. Without occlusions the run
+    is one epoch."""
     arch = cfg.arch
     side = arch.resize_side
     label_of = {ident: i for i, ident in enumerate(sorted({s.identity for s in samples}))}
@@ -641,10 +651,9 @@ def replay_train_inputs(samples, cfg, seed, occlusions=None):
                 queue.extend(block)
             batch, queue = queue[: cfg.batch_size], queue[cfg.batch_size :]
             crops = [
-                jittered_center_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng)
-                for i in batch
+                train_crop(resized[i], arch.input_side, cfg.max_jitter, jitter_rng) for i in batch
             ]
-            x = np.stack([(im.pixels / 255.0).transpose(2, 0, 1) for im in crops])
+            x = np.stack([(c / 255.0).transpose(2, 0, 1) for c in crops])
             labels = np.array([label_of[members[i].identity] for i in batch])
             flags = np.array([members[i].occlusion.obc_target for i in batch])
             inputs.append((x, labels, flags))
@@ -841,7 +850,7 @@ class TestPreprocessImages:
         assert batch.shape == (len(images), 12, 12, channels) and batch.dtype == np.uint8
         for row, img in zip(batch, images):
             resized = resize(img, arch.resize_side, arch.resize_side)
-            assert np.array_equal(row, jittered_center_crop(resized, arch.input_side, 0).pixels)
+            assert np.array_equal(row, train_crop(resized, arch.input_side))
             assert np.array_equal(row, preprocess_image(img, arch).pixels)
 
     def test_empty_and_mixed_channels(self):
