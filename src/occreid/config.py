@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InfeasibleGeometry
-from .fileio import write_atomic
 from .model import TrainConfig
 from .occsim import OcclusionConfig, check_patch_fits, check_target_fits
 
@@ -166,8 +165,3 @@ def render_config(cfg: ExperimentConfig) -> str:
             lines.append(f"{f.name} = {value}")
         lines.append("")
     return "\n".join(lines)
-
-
-def write_resolved(cfg: ExperimentConfig, out_dir) -> None:
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    write_atomic(Path(out_dir) / "config.resolved.ini", render_config(cfg).encode("utf-8"))

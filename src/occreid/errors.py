@@ -38,7 +38,8 @@ class InsufficientShots(OccReidError):
 
 
 class ShapeMismatch(OccReidError):
-    """Tensor or image shape inconsistent with the model architecture."""
+    """Tensor, image or mask shape inconsistent with the model architecture
+    or with the array it is compared against."""
 
 
 class LabelOutOfRange(OccReidError):
@@ -56,10 +57,6 @@ class NonFiniteParameter(OccReidError):
 
 class NonFiniteFeature(OccReidError):
     """A probe-to-gallery distance is NaN or Inf (broken model features)."""
-
-
-class DimMismatch(OccReidError):
-    """Mask dimensions differ from the map they are compared against."""
 
 
 class EmptySalientRegionWarning(UserWarning):

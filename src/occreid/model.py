@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,12 +117,6 @@ class TrainConfig:
 
     def __post_init__(self):
         self.check()
-        if self.alpha in (0.0, 1.0):
-            warnings.warn(
-                f"alpha={self.alpha} disables one loss entirely; values in (0, 1) "
-                "with alpha >= 0.5 are the intended operating range",
-                stacklevel=2,
-            )
 
     @property
     def arch(self) -> ArchSpec:

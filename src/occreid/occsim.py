@@ -11,6 +11,7 @@ label.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .dataset import Occlusion, PersonSample
@@ -85,8 +86,6 @@ class OcclusionRecord:
 
 
 def _round_half_up(x: float) -> int:
-    import math
-
     return int(math.floor(x + 0.5))
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, write_resolved
+from .config import ExperimentConfig, render_config
 from .dataset import (
     Occlusion,
     gallery_pool,
@@ -31,7 +31,7 @@ from .dataset import (
 )
 from .errors import InfeasibleGeometry, InsufficientShots, UnsupportedFormat
 from .evaluate import EvalReport, evaluate
-from .fileio import write_lines
+from .fileio import write_atomic, write_lines
 from .imaging import Image, load_image, save_image
 from .model import (
     ModelParams,
@@ -150,7 +150,7 @@ def _write_provenance(cfg: ExperimentConfig, out_dir: Path) -> None:
     # the output path does not affect any computation; blank it so reruns
     # into different directories still produce byte-identical artifacts
     neutral = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, out=""))
-    write_resolved(neutral, out_dir)
+    write_atomic(out_dir / "config.resolved.ini", render_config(neutral).encode("utf-8"))
     lines = ["# stream\tseed"]
     lines += [f"{name}\t{value}" for name, value in _seed_rows(cfg)]
     write_lines(out_dir / "seeds.tsv", lines)
@@ -206,15 +206,18 @@ def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
     use_os=False trains on the full-body set only; use_obc=False forces
     alpha to 1 so the occlusion head receives no gradient. With
     regenerate_per_epoch the occluded half is drawn afresh for each epoch
-    from a stream derived per epoch. Returns (params, history rows).
+    from a stream derived per epoch. A configured alpha of 0 or 1 under
+    use_obc warns before any work. Returns (params, history rows).
     """
+    if cfg.run.use_obc and cfg.train.alpha in (0.0, 1.0):
+        warnings.warn(
+            f"[train] alpha = {cfg.train.alpha} disables one loss entirely; values in "
+            "(0, 1) with alpha >= 0.5 are the intended operating range",
+            stacklevel=2,
+        )
     data = data or prepare_experiment(cfg)
-    alpha = cfg.train.alpha if cfg.run.use_obc else 1.0
     seed = derive_seed(cfg.run.seed, TAG_TRAIN)
-    with warnings.catch_warnings():
-        if not cfg.run.use_obc:
-            warnings.simplefilter("ignore")  # alpha=1 is deliberate here
-        tcfg = dataclasses.replace(cfg.train, alpha=alpha)  # warns for an alpha of 0 or 1
+    tcfg = cfg.train if cfg.run.use_obc else dataclasses.replace(cfg.train, alpha=1.0)
     if not cfg.run.use_os:
         return train(data.train_full, tcfg, seed)
     if cfg.occlusion.regenerate_per_epoch:
@@ -345,9 +348,8 @@ def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
         raise ValueError("no alpha values to sweep")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"an alpha is repeated in {tuple(alphas)}")
-    with warnings.catch_warnings():  # an alpha outside [0, 1] is refused here, before any work
-        warnings.simplefilter("ignore")  # train_model warns for an alpha of 0 or 1
-        trains = [dataclasses.replace(cfg.train, alpha=a) for a in sorted(alphas)]
+    # an alpha outside [0, 1] is refused here, before any work
+    trains = [dataclasses.replace(cfg.train, alpha=a) for a in sorted(alphas)]
     data = prepare_experiment(cfg)  # alpha never reaches data, split or probes
     run = dataclasses.replace(cfg.run, use_os=True, use_obc=True)
     results = {}

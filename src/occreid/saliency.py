@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySalientRegionWarning
+from .errors import EmptySalientRegionWarning, ShapeMismatch
 from .imaging import bilinear_resize_array
 from .model import ModelParams, forward_images
 
@@ -57,7 +57,7 @@ def detection_precision(salient: np.ndarray, body: np.ndarray) -> np.ndarray:
     An empty salient region scores 0, with an EmptySalientRegionWarning.
     """
     if salient.shape != body.shape:
-        raise DimMismatch(f"salient masks {salient.shape} vs body masks {body.shape}")
+        raise ShapeMismatch(f"salient masks {salient.shape} vs body masks {body.shape}")
     hits = (salient & body).sum(axis=(-2, -1))
     total = salient.sum(axis=(-2, -1))
     if not np.all(total):

@@ -15,7 +15,7 @@ def _ticks(lo: float, hi: float) -> list:
     return [lo + i * step for i in range(_TICKS)]
 
 
-def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def line_plot(series, path, title: str, xlabel: str, ylabel: str) -> None:
     """Write a line plot to `path`. series is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
@@ -42,9 +42,8 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#555"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>',
     ]
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>')
     for t in _ticks(x_lo, x_hi):
         x = px(t)
         out.append(
@@ -58,15 +57,13 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         y = py(t)
         out.append(f'<line x1="{_MARGIN_L - 4}" y1="{y:.2f}" x2="{_MARGIN_L}" y2="{y:.2f}" stroke="#555"/>')
         out.append(f'<text x="{_MARGIN_L - 7}" y="{y + 3.5:.2f}" text-anchor="end">{t:g}</text>')
-    if xlabel:
-        out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        out.append(
-            f'<text x="14" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
-        )
+    out.append(
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle">{xlabel}</text>'
+    )
+    out.append(
+        f'<text x="14" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
+    )
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))

@@ -243,20 +243,14 @@ class TestCriterion6LossIdentities:
         t0 = time.time()
         samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(6))
         geometry = dict(input_side=12, resize_side=14, conv_channels=(4, 8))
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = TrainConfig(alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
+        cfg = TrainConfig(alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
         initial = init_params(cfg.arch, 4, derive_seed(3, 0))
         final, history = train(samples, cfg, 3)
         assert np.array_equal(initial.obc_w, final.obc_w)
         assert np.array_equal(initial.obc_b, final.obc_b)
         assert not np.array_equal(initial.id_w, final.id_w)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg8 = TrainConfig(alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
+        cfg8 = TrainConfig(alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
         _, hist8 = train(samples, cfg8, 3)
         for _, total, lp, lo in hist8:
             assert total == 0.8 * lp + (1.0 - 0.8) * lo

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import os
 import re
 import shutil
 import tempfile
@@ -212,7 +213,6 @@ class TestConfigBuilds:
         patch inside its background band and the smallest target inside
         the image; a rejection names its section."""
         import tempfile
-        import warnings
         from pathlib import Path
 
         from occreid.model import ArchSpec, ConvSpec
@@ -229,9 +229,7 @@ class TestConfigBuilds:
                 assert any(f"[{sec}] " in str(e) for sec in sections)
                 return
         t = cfg.train
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # alpha 0 or 1 warns by design
-            tcfg = dataclasses.replace(t)
+        tcfg = dataclasses.replace(t)
         convs = tuple(ConvSpec(c, t.kernel, t.stride) for c in t.conv_channels)
         assert tcfg.arch == ArchSpec(t.input_side, t.resize_side, 3, convs)
         for occ in (cfg.occlusion, cfg.occlusion.probe_config()):
@@ -305,6 +303,30 @@ class TestTrainEvalCommands:
         assert (out / "eval" / "summary.tsv").exists()
         assert (out / "eval" / "cmc.svg").exists()
         assert "rank1=" in capsys.readouterr().out
+
+    def test_alpha_advisory_names_the_setting(self, tmp_path):
+        # run as a process, so stderr is what a user sees: the advisory names
+        # the [train] key and the pipeline line (not <string>), and --no-obc
+        # trains silently
+        import subprocess
+        import sys
+
+        import occreid
+
+        cfg = tmp_path / "alpha1.ini"
+        cfg.write_text(TINY_CONFIG.replace("[train]\n", "[train]\nalpha = 1.0\n"), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(occreid.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        train = [sys.executable, "-m", "occreid.cli", "train", "--config", str(cfg)]
+        for flags, warns in (([], True), (["--no-obc"], False)):
+            out = ["--out", str(tmp_path / f"out{len(flags)}")]
+            proc = subprocess.run(train + out + flags, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            if warns:
+                assert re.search(r"pipeline\.py:\d+: UserWarning: \[train\] alpha = 1\.0 ", proc.stderr)
+                assert "<string>" not in proc.stderr
+            else:
+                assert proc.stderr == ""
 
     def test_train_rerun_byte_identical(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

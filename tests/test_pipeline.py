@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,10 +84,10 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, occlusions=None):
+        def spy(samples, cfg, seed, occlusions=None):
             seen["n"] = len(samples)
             seen["flags"] = {s.occlusion for s in samples}
-            return original(samples, cfg, occlusions)
+            return original(samples, cfg, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         cfg = tiny_cfg(use_os=False)
@@ -126,12 +128,29 @@ class TestTrainModelSwitches:
         cfg = tiny_cfg()
         cfg.train.iterations = 1
         cfg.train.alpha = alpha
-        with pytest.warns(UserWarning, match=f"alpha={alpha}"):
+        with pytest.warns(UserWarning, match=re.escape(f"[train] alpha = {alpha} ")) as caught:
             train_model(cfg)
+        # the reported location is the caller's source line, not generated code
+        assert [Path(w.filename).suffix for w in caught] == [".py"]
         cfg.run.use_obc = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             train_model(cfg)
+
+    def test_report_and_sweep_warn_per_training_at_alpha_0_or_1(self, tmp_path):
+        # report: only the two regimes with the OBC loss on train with the
+        # configured alpha; sweep: one advisory per such --alphas value
+        import warnings
+
+        cfg = tiny_cfg()
+        cfg.train.iterations = 1
+        cfg.train.alpha = 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pipeline.run_ablation(cfg, tmp_path / "report")
+            pipeline.run_alpha_sweep(cfg, [0.0, 0.5, 1.0], tmp_path / "sweep")
+        messages = [str(w.message).split(" disables")[0] for w in caught]
+        assert messages == ["[train] alpha = 1.0"] * 2 + ["[train] alpha = 0.0", "[train] alpha = 1.0"]
 
     def test_regeneration_rebuilds_occlusions_per_epoch(self, monkeypatch):
         calls = []
@@ -147,8 +166,9 @@ class TestTrainModelSwitches:
         cfg.train.iterations = 6
         cfg.train.batch_size = 8  # combined set is 16 -> epoch length 2
         train_model(cfg)
-        # builds: synthetic eval probes, then one per epoch; the epoch-0
-        # set also sizes the epochs, later epochs derive fresh streams
+        # builds: synthetic eval probes, then one per epoch; epochs are
+        # ceil(2N / batch_size) iterations from the full-body count N, and
+        # later epochs derive fresh streams
         assert len(calls) == 4
         assert calls[1] == derive_seed(cfg.run.seed, TAG_OS)
         assert len(set(calls)) == 4

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from occreid.errors import DimMismatch, EmptySalientRegionWarning, ShapeMismatch
+from occreid.errors import EmptySalientRegionWarning, ShapeMismatch
 from occreid.imaging import Image, bilinear_resize_array
 from occreid.model import FORWARD_CHUNK, ArchSpec, ConvSpec, forward, init_params
 from occreid.saliency import binarize, detection_precision, saliency_maps
@@ -159,7 +159,7 @@ class TestDetectionPrecision:
             assert detection_precision(salient, annotation) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ShapeMismatch):
             detection_precision(np.ones((1, 1), bool), np.ones((1, 2), bool))
 
     def test_range(self):
