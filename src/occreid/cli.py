@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     except (NonFiniteGradient, NonFiniteParameter) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (OccReidError, FileNotFoundError) as e:
+    except (OccReidError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -89,10 +89,9 @@ def load_config(path) -> ExperimentConfig:
     # section, so a [DEFAULT] section is read as an unknown section instead
     # of as defaults for every other section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as e:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ValueError(f"{path}: {e}") from e
     cfg = ExperimentConfig()
     for section in parser.sections():

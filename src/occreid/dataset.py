@@ -67,10 +67,11 @@ _EXTENSIONS = (".ppm", ".pgm")
 def scan_dataset(root) -> list[PersonSample]:
     """One sample per image file under occluded/ and whole/.
 
-    Identity labels are parsed from directory names; the branch determines
-    the occlusion flag. The returned list is sorted lexicographically by
-    sample id (the path relative to root), so re-scanning an unchanged tree
-    yields an identical list.
+    Identity labels are parsed from directory names of ASCII digits
+    (zero-padding allowed); the branch determines the occlusion flag. The
+    returned list is sorted lexicographically by sample id (the path
+    relative to root), so re-scanning an unchanged tree yields an identical
+    list.
     """
     root = Path(root)
     for branch, _ in _BRANCHES:
@@ -81,12 +82,10 @@ def scan_dataset(root) -> list[PersonSample]:
         for ident_dir in sorted((root / branch).iterdir()):
             if not ident_dir.is_dir():
                 continue
-            try:
-                identity = int(ident_dir.name)
-            except ValueError:
-                raise UnparsableIdentity(
-                    f"{ident_dir}: directory name is not an integer label"
-                ) from None
+            # int() would also take '1_0', '+3', ' 7 ' and non-ASCII digits
+            if not (ident_dir.name.isascii() and ident_dir.name.isdigit()):
+                raise UnparsableIdentity(f"{ident_dir}: directory name is not ASCII digits")
+            identity = int(ident_dir.name)
             for f in sorted(ident_dir.iterdir()):
                 if f.suffix not in _EXTENSIONS or f.name.endswith(".mask.pgm"):
                     continue

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Missing files raise the builtin FileNotFoundError; everything else derives
-from OccReidError so callers can catch domain failures in one clause.
+A file that cannot be read or written raises the builtin OSError (such as
+FileNotFoundError or IsADirectoryError); everything else derives from
+OccReidError so callers can catch domain failures in one clause.
 """
 
 
@@ -26,7 +27,7 @@ class MissingBranch(OccReidError):
 
 
 class UnparsableIdentity(OccReidError):
-    """Identity directory name is not an integer label."""
+    """Identity directory name is not a label of ASCII digits."""
 
 
 class TooFewIdentities(OccReidError):

@@ -140,32 +140,16 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable tensors, all of one float dtype (float32 inside train,
-    float64 everywhere else); immutable by convention (updates build a new
-    instance)."""
+    """All learnable tensors by name, keyed and ordered like _param_shapes,
+    all of one float dtype (float32 inside train, float64 everywhere else);
+    immutable by convention (updates build a new instance)."""
 
     arch: ArchSpec
-    conv_w: tuple
-    conv_b: tuple
-    id_w: np.ndarray
-    id_b: np.ndarray
-    obc_w: np.ndarray
-    obc_b: np.ndarray
+    tensors: dict
 
     @property
     def num_classes(self) -> int:
-        return self.id_w.shape[0]
-
-    def tensors(self):
-        """(name, array) pairs in a fixed declaration order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            out.append((f"conv{i}.w", w))
-            out.append((f"conv{i}.b", b))
-        out.extend(
-            [("id.w", self.id_w), ("id.b", self.id_b), ("obc.w", self.obc_w), ("obc.b", self.obc_b)]
-        )
-        return out
+        return self.tensors["id.w"].shape[0]
 
 
 @dataclass
@@ -189,17 +173,9 @@ class ForwardTrace:
         return _batch_major(np.maximum(self.preacts[-1], 0.0))
 
 
-def _params_from_dict(arch: ArchSpec, tensors: dict) -> ModelParams:
-    conv_w = tuple(tensors[f"conv{i}.w"] for i in range(len(arch.convs)))
-    conv_b = tuple(tensors[f"conv{i}.b"] for i in range(len(arch.convs)))
-    return ModelParams(
-        arch, conv_w, conv_b, tensors["id.w"], tensors["id.b"], tensors["obc.w"], tensors["obc.b"]
-    )
-
-
 def _param_shapes(arch: ArchSpec, num_classes: int) -> list:
     """(name, shape) of every tensor in declaration order: the layout of
-    ModelParams.tensors(), of backward's gradients and of a checkpoint."""
+    ModelParams.tensors, of backward's gradients and of a checkpoint."""
     shapes, c_in = [], arch.in_channels
     for i, spec in enumerate(arch.convs):
         shapes.append((f"conv{i}.w", (spec.out_channels, c_in, spec.kernel, spec.kernel)))
@@ -212,7 +188,7 @@ def _param_shapes(arch: ArchSpec, num_classes: int) -> list:
 
 
 def _cast(params: ModelParams, dtype) -> ModelParams:
-    return _params_from_dict(params.arch, {name: a.astype(dtype) for name, a in params.tensors()})
+    return ModelParams(params.arch, {name: a.astype(dtype) for name, a in params.tensors.items()})
 
 
 def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
@@ -230,7 +206,7 @@ def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
         else:
             bound = np.sqrt(6.0 / math.prod(shape[1:]))
             tensors[name] = gen.uniform(-bound, bound, shape).astype(np.float32).astype(np.float64)
-    return _params_from_dict(arch, tensors)
+    return ModelParams(arch, tensors)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
@@ -273,7 +249,8 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
     batch is (B, C, S, S) in [0, 1], cast to the parameters' dtype, which
     every later array keeps.
     """
-    x = np.asarray(batch, dtype=params.id_w.dtype)
+    t = params.tensors
+    x = np.asarray(batch, dtype=t["id.w"].dtype)
     arch = params.arch
     if x.ndim != 4 or x.shape[1] != arch.in_channels or x.shape[2:] != (
         arch.input_side,
@@ -285,7 +262,8 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
         )
     cols_list, preacts = [], []
     a = x.transpose(1, 2, 3, 0)  # (C, S, S, B): the trunk keeps the batch innermost
-    for spec, w, b in zip(arch.convs, params.conv_w, params.conv_b):
+    for i, spec in enumerate(arch.convs):
+        w, b = t[f"conv{i}.w"], t[f"conv{i}.b"]
         cols, oh, ow = _im2col(a, spec.kernel, spec.stride, spec.kernel // 2)
         z = w.reshape(spec.out_channels, -1) @ cols + b[:, None]
         z = z.reshape(spec.out_channels, oh, ow, x.shape[0])
@@ -293,8 +271,8 @@ def forward(params: ModelParams, batch) -> ForwardTrace:
         preacts.append(z)
         a = np.maximum(z, 0.0)
     feature = _batch_major(a).mean(axis=(2, 3))
-    id_logits = feature @ params.id_w.T + params.id_b
-    obc_logits = feature @ params.obc_w.T + params.obc_b
+    id_logits = feature @ t["id.w"].T + t["id.b"]
+    obc_logits = feature @ t["obc.w"].T + t["obc.b"]
     return ForwardTrace(cols_list, preacts, feature, id_logits, obc_logits)
 
 
@@ -324,8 +302,8 @@ def _mean_losses(trace: ForwardTrace, labels: np.ndarray, flags: np.ndarray):
 def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: float) -> dict:
     """Analytic gradients of the batch-mean weighted loss for every tensor.
 
-    Returns a dict keyed like ModelParams.tensors(). With alpha == 1 the
-    occlusion head gradients are exactly zero, and vice versa at 0.
+    Returns a dict keyed and ordered like params.tensors. With alpha == 1
+    the occlusion head gradients are exactly zero, and vice versa at 0.
     """
     labels = np.asarray(labels)
     flags = np.asarray(flags)
@@ -346,21 +324,23 @@ def backward(trace: ForwardTrace, params: ModelParams, labels, flags, alpha: flo
     grads["obc.w"] = g_obc.T @ trace.feature
     grads["obc.b"] = g_obc.sum(axis=0)
 
-    d_act = g_id @ params.id_w + g_obc @ params.obc_w  # (B, D)
+    t = params.tensors
+    d_act = g_id @ t["id.w"] + g_obc @ t["obc.w"]  # (B, D)
     last = trace.preacts[-1]  # (D, h, w, B)
     d_act = np.broadcast_to(d_act.T[:, None, None, :] / (last.shape[1] * last.shape[2]), last.shape)
     arch = params.arch
     for layer in reversed(range(len(arch.convs))):
         spec = arch.convs[layer]
-        w = params.conv_w[layer].reshape(spec.out_channels, -1)
+        shape = t[f"conv{layer}.w"].shape
+        w = t[f"conv{layer}.w"].reshape(spec.out_channels, -1)
         dz = (d_act * (trace.preacts[layer] > 0.0)).reshape(spec.out_channels, -1)
-        grads[f"conv{layer}.w"] = (dz @ trace.cols[layer].T).reshape(params.conv_w[layer].shape)
+        grads[f"conv{layer}.w"] = (dz @ trace.cols[layer].T).reshape(shape)
         grads[f"conv{layer}.b"] = dz.sum(axis=1)
         if layer > 0:
             d_act = _col2im(
                 w.T @ dz, trace.preacts[layer - 1].shape, spec.kernel, spec.stride, spec.kernel // 2
             )
-    return grads
+    return {name: grads[name] for name in t}
 
 
 def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
@@ -368,7 +348,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
     SGD, no momentum. Raises NonFiniteGradient for a NaN or inf gradient
     and NonFiniteParameter for an update that leaves one in a weight."""
     updated = {}
-    for name, arr in params.tensors():
+    for name, arr in params.tensors.items():
         g = grads[name]
         if g.shape != arr.shape:
             raise ShapeMismatch(f"{name}: gradient shape {g.shape} != param shape {arr.shape}")
@@ -380,7 +360,7 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"{name} gradient is not finite in {g.dtype}")
             raise NonFiniteParameter(f"{name} is not finite in {arr.dtype} after the update")
-    return _params_from_dict(params.arch, updated)
+    return ModelParams(params.arch, updated)
 
 
 def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
@@ -508,11 +488,12 @@ def forward_images(params: ModelParams, images):
     preprocess_images or a list of Images), converted FORWARD_CHUNK at a time."""
     arch = params.arch
     want = (arch.input_side, arch.input_side, arch.in_channels)
+    dtype = params.tensors["id.w"].dtype
     for i in range(0, len(images), FORWARD_CHUNK):
         pixels = np.asarray(images[i : i + FORWARD_CHUNK])
         if pixels.shape[1:] != want:
             raise ShapeMismatch(f"expected (N, H, W, C) input, (H, W, C) = {want}, got {pixels.shape}")
-        yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2), params.id_w.dtype))
+        yield forward(params, _to_input(pixels.transpose(0, 3, 1, 2), dtype))
 
 
 def extract_features(params: ModelParams, images) -> np.ndarray:
@@ -522,13 +503,15 @@ def extract_features(params: ModelParams, images) -> np.ndarray:
 
 
 def _float32_tensors(params: ModelParams) -> list:
-    """(name, float32 array) pairs as a checkpoint stores them.
+    """(name, float32 array) pairs as a checkpoint stores them, named and
+    ordered by _param_shapes whatever the order of params.tensors.
 
     Raises NonFiniteParameter when a tensor holds NaN or inf, or a value
     beyond the float32 range that the cast would turn into inf.
     """
     out = []
-    for name, arr in params.tensors():
+    for name, _ in _param_shapes(params.arch, params.num_classes):
+        arr = params.tensors[name]
         with np.errstate(over="ignore"):
             narrow = arr.astype("<f4")
         if not np.all(np.isfinite(narrow)):
@@ -580,4 +563,4 @@ def load_checkpoint(path) -> ModelParams:
         pos += 4 * count
     if pos != len(data):
         raise CorruptData(f"{path}: {len(data) - pos} trailing bytes")
-    return _params_from_dict(arch, tensors)
+    return ModelParams(arch, tensors)

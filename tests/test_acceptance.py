@@ -8,7 +8,6 @@ finishes in seconds.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -23,12 +22,9 @@ from occreid.model import (
     ArchSpec,
     ConvSpec,
     TrainConfig,
-    _mean_losses,
-    _params_from_dict,
     backward,
     forward,
     init_params,
-    multi_task_loss,
     train,
 )
 from occreid.occsim import OcclusionConfig, simulate_occlusion
@@ -246,9 +242,9 @@ class TestCriterion6LossIdentities:
         cfg = TrainConfig(alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
         initial = init_params(cfg.arch, 4, derive_seed(3, 0))
         final, history = train(samples, cfg, 3)
-        assert np.array_equal(initial.obc_w, final.obc_w)
-        assert np.array_equal(initial.obc_b, final.obc_b)
-        assert not np.array_equal(initial.id_w, final.id_w)
+        assert np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
+        assert np.array_equal(initial.tensors["obc.b"], final.tensors["obc.b"])
+        assert not np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
 
         cfg8 = TrainConfig(alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
         _, hist8 = train(samples, cfg8, 3)

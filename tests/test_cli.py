@@ -632,6 +632,31 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_out_is_a_regular_file(self, tmp_path, config_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory", encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out) in err and "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == "not a directory"
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "out"
+        cfg.mkdir()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(cfg) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys):
+        cfg, out = tmp_path / "latin1.ini", tmp_path / "out"
+        cfg.write_bytes("[run]\n# caf\u00e9\nseed = 1\n".encode("latin-1"))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: ") and "utf-8" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_data_error_non_finite_checkpoint(self, tmp_path, config_path, capsys):
         # inf weights (as a diverged run saves them) would give NaN features
         # and all-zero saliency maps; the loader refuses them, so eval and
@@ -645,8 +670,8 @@ class TestExitCodes:
         # save_checkpoint refuses non-finite weights, so write +inf over
         # conv0.w, the first tensor after the header, by hand
         data = bytearray(ckpt.read_bytes())
-        header = len(data) - 4 * sum(arr.size for _, arr in params.tensors())
-        size = params.conv_w[0].size
+        header = len(data) - 4 * sum(arr.size for arr in params.tensors.values())
+        size = params.tensors["conv0.w"].size
         data[header : header + 4 * size] = np.full(size, np.inf, "<f4").tobytes()
         ckpt.write_bytes(bytes(data))
         for command in ("eval", "saliency"):

@@ -62,6 +62,13 @@ class TestScan:
         with pytest.raises(UnparsableIdentity):
             scan_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name", ["1_0", "+3", " 7 ", "\u0663"])
+    def test_identity_must_be_ascii_digits(self, tmp_path, name):
+        # each of these parses under int(); '1_0' would merge into identity 10
+        write_tree(tmp_path, ["010", name], occluded=1, whole=1)
+        with pytest.raises(UnparsableIdentity, match="ASCII digits"):
+            scan_dataset(tmp_path)
+
     @pytest.mark.parametrize("data", [b"P6", b"P7\n8 12\n255\n", b"P6\n8 12\n255\n\0"])
     def test_bad_file_named_once(self, tmp_path, data):
         write_tree(tmp_path, ["001"], occluded=1, whole=1)

@@ -1,6 +1,7 @@
-"""Every name a package module imports is read in that module.
+"""Every name a package or test module imports is read in that module.
 
-__init__.py is exempt: its imports are the package's public names.
+The package's __init__.py is exempt: its imports are the package's public
+names.
 """
 
 import ast
@@ -10,7 +11,8 @@ import pytest
 
 import occreid
 
-MODULES = sorted(p for p in Path(occreid.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(p for p in Path(occreid.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -28,7 +30,9 @@ def unused_imports(source: str) -> list:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", PACKAGE + TESTS, ids=[p.name for p in PACKAGE] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_every_import_is_read(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, f"{path.name} imports names it never reads: {unused}"

@@ -19,13 +19,13 @@ from occreid.model import (
     ArchSpec,
     ConvSpec,
     ForwardTrace,
+    ModelParams,
     TrainConfig,
     _cast,
     _col2im,
     _im2col,
     _mean_losses,
     _param_shapes,
-    _params_from_dict,
     _softmax,
     backward,
     extract_features,
@@ -113,16 +113,42 @@ class TestParamLayout:
         arch = dataclasses.replace(arch, in_channels=channels)
         layout = _param_shapes(arch, 5)
         params = init_params(arch, 5, 1)
-        assert [(name, arr.shape) for name, arr in params.tensors()] == layout
+        assert [(name, arr.shape) for name, arr in params.tensors.items()] == layout
         x = np.random.Generator(np.random.PCG64(2)).uniform(
             0, 1, (2, channels, arch.input_side, arch.input_side)
         )
         grads = backward(forward(params, x), params, [0, 4], [0, 1], 0.5)
-        assert sorted((name, g.shape) for name, g in grads.items()) == sorted(layout)
+        assert [(name, g.shape) for name, g in grads.items()] == layout
         path = tmp_path / "m.bin"
         save_checkpoint(params, path)
         header = 8 + 16 + 12 * len(arch.convs) + 4  # magic, geometry, convs, class count
         assert path.stat().st_size == header + 4 * sum(math.prod(shape) for _, shape in layout)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_every_builder_keys_tensors_in_layout_order(self, tmp_path, arch):
+        names = [name for name, _ in _param_shapes(arch, 5)]
+        params = init_params(arch, 5, 1)
+        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
+        path = tmp_path / "m.bin"
+        save_checkpoint(params, path)
+        built = {
+            "init_params": params,
+            "_cast": _cast(params, np.float32),
+            "sgd_step": sgd_step(params, grads, 0.1),
+            "load_checkpoint": load_checkpoint(path),
+        }
+        for builder, result in built.items():
+            assert list(result.tensors) == names, builder
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_dict_order_does_not_decide_the_checkpoint(self, tmp_path, arch):
+        params = init_params(arch, 5, 1)
+        reordered = ModelParams(arch, dict(reversed(params.tensors.items())))
+        assert list(reordered.tensors) != list(params.tensors)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_checkpoint(params, a)
+        save_checkpoint(reordered, b)
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("arch", ARCHS)
@@ -130,7 +156,7 @@ class TestParamLayout:
         arch = dataclasses.replace(arch, in_channels=channels)
         for seed in (0, 1, 2**63 + 5):
             want = reference_init(arch, 7, seed)
-            got = init_params(arch, 7, seed).tensors()
+            got = init_params(arch, 7, seed).tensors.items()
             assert [name for name, _ in got] == list(want)
             for name, arr in got:
                 assert arr.dtype == want[name].dtype and arr.tobytes() == want[name].tobytes(), name
@@ -147,8 +173,8 @@ class TestForward:
 
     def test_zero_params_give_uniform_softmax(self):
         params = tiny_params()
-        zeros = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-        params0 = _params_from_dict(TINY, zeros)
+        zeros = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
+        params0 = ModelParams(TINY, zeros)
         trace = forward(params0, rand_batch(2))
         assert np.allclose(trace.id_logits, 0.0)
         assert losses_of(trace.id_logits[0], 0)[0] == pytest.approx(math.log(3))
@@ -158,7 +184,7 @@ class TestForward:
         params = init_params(arch, 2, 5)
         x = rand_batch(1, seed=3)
         trace = forward(params, x)
-        expected = conv_oracle(x[0], params.conv_w[0], params.conv_b[0], 2, 1)
+        expected = conv_oracle(x[0], params.tensors["conv0.w"], params.tensors["conv0.b"], 2, 1)
         assert np.allclose(nchw(trace.preacts[0])[0], expected, atol=1e-12)
         assert np.allclose(trace.last_maps[0], np.maximum(expected, 0.0), atol=1e-12)
 
@@ -168,7 +194,7 @@ class TestForward:
         gen = np.random.Generator(np.random.PCG64(0))
         x = gen.uniform(0, 1, (1, 1, 4, 4))
         trace = forward(params, x)
-        expected = conv_oracle(x[0], params.conv_w[0], params.conv_b[0], 1, 0)
+        expected = conv_oracle(x[0], params.tensors["conv0.w"], params.tensors["conv0.b"], 1, 0)
         assert np.allclose(nchw(trace.preacts[0])[0], expected, atol=1e-12)
 
     def test_last_maps_match_chained_oracle_on_acceptance_arch(self):
@@ -179,7 +205,8 @@ class TestForward:
         assert maps.shape == (3, 64, 4, 4)
         for sample, got in zip(x, maps):
             a = sample
-            for spec, w, bias in zip(arch.convs, params.conv_w, params.conv_b):
+            for i, spec in enumerate(arch.convs):
+                w, bias = params.tensors[f"conv{i}.w"], params.tensors[f"conv{i}.b"]
                 a = np.maximum(conv_oracle(a, w, bias, spec.stride, spec.kernel // 2), 0.0)
             assert np.abs(got - a).max() <= 1e-12
 
@@ -273,16 +300,16 @@ def fd_gradients(arch, params, x, labels, flags, alpha, eps=1e-3):
         return multi_task_loss(lp, lo, alpha)
 
     grads = {}
-    for name, arr in params.tensors():
+    for name, arr in params.tensors.items():
         g = np.zeros_like(arr)
         flat, gflat = arr.reshape(-1), g.reshape(-1)
         for i in range(flat.size):
-            plus = {k: v.copy() for k, v in dict(params.tensors()).items()}
+            plus = {k: v.copy() for k, v in params.tensors.items()}
             plus[name].reshape(-1)[i] += eps
-            minus = {k: v.copy() for k, v in dict(params.tensors()).items()}
+            minus = {k: v.copy() for k, v in params.tensors.items()}
             minus[name].reshape(-1)[i] -= eps
             gflat[i] = (
-                loss_at(_params_from_dict(arch, plus)) - loss_at(_params_from_dict(arch, minus))
+                loss_at(ModelParams(arch, plus)) - loss_at(ModelParams(arch, minus))
             ) / (2 * eps)
         grads[name] = g
     return grads
@@ -292,11 +319,11 @@ def shift_biases(arch, params, seed):
     """Random conv biases keep preactivations away from the ReLU kink,
     where a finite difference would straddle the nondifferentiable point."""
     gen = np.random.Generator(np.random.PCG64(seed))
-    tensors = {k: v.copy() for k, v in params.tensors()}
+    tensors = {k: v.copy() for k, v in params.tensors.items()}
     for k in tensors:
         if k.startswith("conv") and k.endswith(".b"):
             tensors[k] = gen.uniform(-0.6, 0.6, tensors[k].shape)
-    return _params_from_dict(arch, tensors)
+    return ModelParams(arch, tensors)
 
 
 def einsum_conv_grads(trace, params, labels, flags, alpha):
@@ -310,11 +337,12 @@ def einsum_conv_grads(trace, params, labels, flags, alpha):
     g_obc[np.arange(b), flags] -= 1.0
     g_obc *= (1.0 - alpha) / b
     last = trace.preacts[-1]
-    d_act = (g_id @ params.id_w + g_obc @ params.obc_w).T[:, None, None, :]
+    t = params.tensors
+    d_act = (g_id @ t["id.w"] + g_obc @ t["obc.w"]).T[:, None, None, :]
     d_act = np.broadcast_to(d_act / (last.shape[1] * last.shape[2]), last.shape)
     grads = {}
     for layer in reversed(range(len(params.arch.convs))):
-        spec, w = params.arch.convs[layer], params.conv_w[layer]
+        spec, w = params.arch.convs[layer], params.tensors[f"conv{layer}.w"]
         dz = np.where(trace.preacts[layer] > 0.0, d_act, 0.0).reshape(spec.out_channels, -1, b)
         cols = trace.cols[layer].reshape(w[0].size, -1, b)
         grads[f"conv{layer}.w"] = np.einsum("fsb,csb->fc", dz, cols).reshape(w.shape)
@@ -450,29 +478,29 @@ class TestBackward:
 class TestSgdStep:
     def test_zero_gradients_leave_params_bitwise_unchanged(self):
         params = tiny_params()
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
         updated = sgd_step(params, grads, 0.5)
-        for (_, a), (_, b) in zip(params.tensors(), updated.tensors()):
+        for a, b in zip(params.tensors.values(), updated.tensors.values()):
             assert np.array_equal(a, b)
 
     def test_zero_learning_rate(self):
         params = tiny_params()
-        grads = {name: np.ones_like(arr) for name, arr in params.tensors()}
+        grads = {name: np.ones_like(arr) for name, arr in params.tensors.items()}
         updated = sgd_step(params, grads, 0.0)
-        for (_, a), (_, b) in zip(params.tensors(), updated.tensors()):
+        for a, b in zip(params.tensors.values(), updated.tensors.values()):
             assert np.array_equal(a, b)
 
     def test_elementwise_update_rule(self):
         # the scalar case p=1, g=2, lr=0.1 -> 0.8, applied across a tensor
         params = tiny_params()
-        grads = {name: np.full_like(arr, 2.0) for name, arr in params.tensors()}
+        grads = {name: np.full_like(arr, 2.0) for name, arr in params.tensors.items()}
         updated = sgd_step(params, grads, 0.1)
-        for (_, a), (_, b) in zip(params.tensors(), updated.tensors()):
+        for a, b in zip(params.tensors.values(), updated.tensors.values()):
             assert np.allclose(b, a - 0.2, atol=1e-15)
 
     def test_non_finite_gradient(self):
         params = tiny_params()
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
         grads["id.w"][0, 0] = np.nan
         with pytest.raises(NonFiniteGradient, match="id.w gradient is not finite in float64"):
             sgd_step(params, grads, 0.1)
@@ -480,16 +508,16 @@ class TestSgdStep:
     def test_update_overflowing_float32_names_the_tensor(self):
         # a finite weight and a finite gradient whose update leaves the float32 range
         params = _cast(tiny_params(), np.float32)
-        params.id_w[0, 0] = 3e38
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
+        params.tensors["id.w"][0, 0] = 3e38
+        grads = {name: np.zeros_like(arr) for name, arr in params.tensors.items()}
         grads["id.w"][0, 0] = -1.0
         with pytest.raises(NonFiniteParameter, match="id.w is not finite in float32"):
             sgd_step(params, grads, 1e38)
         # the same update in float64 stays finite
         wide = tiny_params()
-        wide.id_w[0, 0] = 3e38
+        wide.tensors["id.w"][0, 0] = 3e38
         wide_grads = {name: g.astype(np.float64) for name, g in grads.items()}
-        assert sgd_step(wide, wide_grads, 1e38).id_w[0, 0] == 4e38
+        assert sgd_step(wide, wide_grads, 1e38).tensors["id.w"][0, 0] == 4e38
 
 
 class TestTrainConfig:
@@ -567,7 +595,7 @@ class TestTrain:
         pa, ha = train(samples, cfg, SEED)
         pb, hb = train(samples, cfg, SEED)
         assert ha == hb
-        for (_, a), (_, b) in zip(pa.tensors(), pb.tensors()):
+        for a, b in zip(pa.tensors.values(), pb.tensors.values()):
             assert np.array_equal(a, b)
 
     def test_alpha_one_keeps_obc_head_bit_identical(self):
@@ -577,9 +605,9 @@ class TestTrain:
 
         initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
         final, _ = train(samples, cfg1, SEED)
-        assert np.array_equal(initial.obc_w, final.obc_w)
-        assert np.array_equal(initial.obc_b, final.obc_b)
-        assert not np.array_equal(initial.id_w, final.id_w)
+        assert np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
+        assert np.array_equal(initial.tensors["obc.b"], final.tensors["obc.b"])
+        assert not np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
 
     def test_alpha_zero_keeps_id_head_bit_identical(self):
         samples, cfg = small_train_setup(30)
@@ -588,9 +616,9 @@ class TestTrain:
 
         initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
         final, _ = train(samples, cfg0, SEED)
-        assert np.array_equal(initial.id_w, final.id_w)
-        assert np.array_equal(initial.id_b, final.id_b)
-        assert not np.array_equal(initial.obc_w, final.obc_w)
+        assert np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
+        assert np.array_equal(initial.tensors["id.b"], final.tensors["id.b"])
+        assert not np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
 
     def test_empty_set_rejected(self):
         _, cfg = small_train_setup(5)
@@ -740,12 +768,12 @@ class TestFloat32Training:
             return {a.dtype for a in arrays}
 
         def spy_forward(params, batch):
-            seen.append(("forward", batch.dtype, dtypes(a for _, a in params.tensors())))
+            seen.append(("forward", batch.dtype, dtypes(params.tensors.values())))
             return forward(params, batch)
 
         def spy_backward(trace, params, labels, flags, alpha):
             grads = backward(trace, params, labels, flags, alpha)
-            seen.append(("backward", dtypes(a for _, a in params.tensors()), dtypes(grads.values())))
+            seen.append(("backward", dtypes(params.tensors.values()), dtypes(grads.values())))
             return grads
 
         monkeypatch.setattr(model, "forward", spy_forward)
@@ -753,7 +781,7 @@ class TestFloat32Training:
         params, _ = train(samples, cfg, SEED)
         f32 = np.dtype(np.float32)
         assert seen == [("forward", f32, {f32}), ("backward", {f32}, {f32})] * cfg.iterations
-        for name, arr in params.tensors():
+        for name, arr in params.tensors.items():
             assert arr.dtype == np.float64 and np.array_equal(arr, arr.astype(np.float32)), name
 
     def test_loss_history_tracks_a_float64_reference_loop(self):
@@ -778,7 +806,7 @@ class TestFloat32Training:
             reference.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
             grads = backward(trace, params, labels, flags, cfg.alpha)
             params = sgd_step(params, grads, cfg.learning_rate)
-        assert params.id_w.dtype == np.float64
+        assert params.tensors["id.w"].dtype == np.float64
         assert len(history) == len(reference) == 30
         assert [row[0] for row in history] == list(range(30))
         np.testing.assert_allclose(np.array(history), np.array(reference), rtol=0, atol=1e-5)
@@ -866,7 +894,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.arch == params.arch
         assert loaded.num_classes == params.num_classes
-        for (na, a), (nb, b) in zip(params.tensors(), loaded.tensors()):
+        for (na, a), (nb, b) in zip(params.tensors.items(), loaded.tensors.items()):
             assert na == nb
             assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b), na
 
@@ -880,7 +908,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e39, -4e38])
     def test_non_finite_or_float32_overflow_rejected(self, tmp_path, value):
         params = tiny_params(seed=8)
-        params.id_b[1] = value
+        params.tensors["id.b"][1] = value
         path = tmp_path / "bad.bin"
         with pytest.raises(NonFiniteParameter, match="id.b"):
             save_checkpoint(params, path)
@@ -893,8 +921,8 @@ class TestCheckpoint:
         path = tmp_path / "bad.bin"
         save_checkpoint(params, path)
         data = bytearray(path.read_bytes())
-        sizes = [arr.size for _, arr in params.tensors()]
-        names = [n for n, _ in params.tensors()]
+        sizes = [arr.size for arr in params.tensors.values()]
+        names = list(params.tensors)
         pos = len(data) - 4 * sum(sizes) + 4 * sum(sizes[: names.index(name)])
         data[pos : pos + 4] = np.array([value], "<f4").tobytes()  # first value of the tensor
         path.write_bytes(bytes(data))
@@ -903,10 +931,10 @@ class TestCheckpoint:
 
     def test_float32_max_is_kept(self, tmp_path):
         params = tiny_params(seed=8)
-        params.id_b[1] = float(np.finfo(np.float32).max)
+        params.tensors["id.b"][1] = float(np.finfo(np.float32).max)
         path = tmp_path / "edge.bin"
         save_checkpoint(params, path)
-        assert load_checkpoint(path).id_b[1] == params.id_b[1]
+        assert load_checkpoint(path).tensors["id.b"][1] == params.tensors["id.b"][1]
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"

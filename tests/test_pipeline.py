@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -182,7 +181,7 @@ class TestTrainModelSwitches:
         assert len(h_fixed) == len(h_regen) == 20
         assert any(
             not np.array_equal(a, b)
-            for (_, a), (_, b) in zip(p_fixed.tensors(), p_regen.tensors())
+            for a, b in zip(p_fixed.tensors.values(), p_regen.tensors.values())
         )
 
 

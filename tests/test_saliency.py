@@ -1,11 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from occreid.errors import EmptySalientRegionWarning, ShapeMismatch
 from occreid.imaging import Image, bilinear_resize_array
-from occreid.model import FORWARD_CHUNK, ArchSpec, ConvSpec, forward, init_params
+from occreid.model import FORWARD_CHUNK, ArchSpec, ConvSpec, ModelParams, forward, init_params
 from occreid.saliency import binarize, detection_precision, saliency_maps
 
 ARCH = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
@@ -46,7 +44,8 @@ class TestMapFromFeatureMaps:
 
     def test_constant_maps_normalize_to_zero(self):
         params = init_params(ARCH, 2, 3)
-        params = dataclasses.replace(params, conv_w=tuple(np.zeros_like(w) for w in params.conv_w))
+        zeros = np.zeros_like(params.tensors["conv0.w"])
+        params = ModelParams(ARCH, {**params.tensors, "conv0.w": zeros})
         maps = all_maps(params, random_images(3, 1))
         assert maps.shape == (3, 12, 12)
         assert np.all(maps == 0.0)
@@ -68,9 +67,9 @@ class TestMapFromFeatureMaps:
     def test_offset_invariance(self):
         # biases large enough that no last activation is clipped by the ReLU
         params = init_params(ARCH, 2, 3)
-        b = params.conv_b[-1]
-        a = all_maps(dataclasses.replace(params, conv_b=(b + 100.0,)), random_images(4, 4))
-        c = all_maps(dataclasses.replace(params, conv_b=(b + 113.7,)), random_images(4, 4))
+        t, b = params.tensors, params.tensors["conv0.b"]
+        a = all_maps(ModelParams(ARCH, {**t, "conv0.b": b + 100.0}), random_images(4, 4))
+        c = all_maps(ModelParams(ARCH, {**t, "conv0.b": b + 113.7}), random_images(4, 4))
         assert np.allclose(a, c, atol=1e-10)
 
     def test_bad_shape(self):
