@@ -68,10 +68,10 @@ def scan_dataset(root) -> list[PersonSample]:
     """One sample per image file under occluded/ and whole/.
 
     Identity labels are parsed from directory names of ASCII digits
-    (zero-padding allowed); the branch determines the occlusion flag. The
-    returned list is sorted lexicographically by sample id (the path
-    relative to root), so re-scanning an unchanged tree yields an identical
-    list.
+    (zero-padding allowed, one directory per identity and branch); the
+    branch determines the occlusion flag. The returned list is sorted
+    lexicographically by sample id (the path relative to root), so
+    re-scanning an unchanged tree yields an identical list.
     """
     root = Path(root)
     for branch, _ in _BRANCHES:
@@ -79,6 +79,7 @@ def scan_dataset(root) -> list[PersonSample]:
             raise MissingBranch(f"{root} has no '{branch}/' branch")
     samples = []
     for branch, flag in _BRANCHES:
+        dirs = {}  # identity -> its directory in this branch
         for ident_dir in sorted((root / branch).iterdir()):
             if not ident_dir.is_dir():
                 continue
@@ -86,6 +87,9 @@ def scan_dataset(root) -> list[PersonSample]:
             if not (ident_dir.name.isascii() and ident_dir.name.isdigit()):
                 raise UnparsableIdentity(f"{ident_dir}: directory name is not ASCII digits")
             identity = int(ident_dir.name)
+            if identity in dirs:  # '1' beside '001' would merge two people
+                raise UnparsableIdentity(f"{dirs[identity]} and {ident_dir} name one identity")
+            dirs[identity] = ident_dir
             for f in sorted(ident_dir.iterdir()):
                 if f.suffix not in _EXTENSIONS or f.name.endswith(".mask.pgm"):
                     continue

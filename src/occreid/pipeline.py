@@ -3,9 +3,11 @@
 Binds the modules into reproducible runs: occlusion simulation over a
 sample set, training on the combined set, multi-shot evaluation, the
 ablation grid (occlusion simulator and occlusion-classification loss
-switched independently) and the alpha sweep. Every run directory receives
-the resolved config and all derived seeds, and reruns with the same
-config produce byte-identical artifacts.
+switched independently) and the alpha sweep. The grid and the sweep share
+one runner: one preparation, one shot check, the variants trained and
+evaluated in order, and nothing written before the last is evaluated.
+Every run directory receives the resolved config and all derived seeds,
+and reruns with the same config produce byte-identical artifacts.
 
 All randomness flows from run.seed through fixed derivation tags, so the
 individual stages stay independent: changing eval trials never perturbs
@@ -24,12 +26,13 @@ import numpy as np
 from .config import ExperimentConfig, render_config
 from .dataset import (
     Occlusion,
+    draw_gallery,
     gallery_pool,
     generate_synthetic_dataset,
     scan_dataset,
     split_identities,
 )
-from .errors import InfeasibleGeometry, InsufficientShots, UnsupportedFormat
+from .errors import InfeasibleGeometry, UnsupportedFormat
 from .evaluate import EvalReport, evaluate
 from .fileio import write_atomic, write_lines
 from .imaging import Image, load_image, save_image
@@ -275,6 +278,11 @@ def _write_trial_manifest(report: EvalReport, path: Path) -> None:
     write_lines(path, lines)
 
 
+def _cmc_series(label: str, report: EvalReport) -> tuple:
+    """A line_plot series of the CMC curve in percent against rank."""
+    return (label, list(range(1, len(report.cmc) + 1)), [r * 100 for r in report.cmc])
+
+
 def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
@@ -288,82 +296,71 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
         _write_report(rep, out_dir / f"cmc_n{n}.tsv")
         _write_trial_manifest(rep, out_dir / f"gallery_n{n}.tsv")
         summary.append(f"{n}\t{rep.rank1!r}\t{rep.rank5!r}\t{rep.rank10!r}")
-        ranks = list(range(1, len(rep.cmc) + 1))
-        series.append((f"N={n}", ranks, [r * 100 for r in rep.cmc]))
+        series.append(_cmc_series(f"N={n}", rep))
     write_lines(out_dir / "summary.tsv", summary)
     line_plot(series, out_dir / "cmc.svg", "CMC", "rank", "match rate (%)")
     return reports
 
 
-def train_and_eval(cfg: ExperimentConfig, data: ExperimentData | None = None) -> dict:
-    """In-memory train plus eval under cfg's switches; keyed by shot count.
-
-    train returns float32-exact parameters, which a checkpoint stores
-    exactly, so the result matches a train command followed by an eval of
-    its checkpoint. A test split too small for the largest shot count
-    fails before training.
-    """
-    data = data or prepare_experiment(cfg)
-    need = max(cfg.eval.shots)
-    for ident, members in gallery_pool(data.test_samples)[0].items():
-        if len(members) < need:
-            raise InsufficientShots(
-                f"identity {ident} has {len(members)} full-body images, need {need}"
-            )
-    params, _ = train_model(cfg, data)
-    return evaluate_model(cfg, params, data)
+def _run_grid(cfg: ExperimentConfig, variants: list, out_dir: Path) -> dict:
+    """Train and evaluate each (label, cfg) variant in order on one
+    preparation of cfg's data, which switches and alpha never reach; keyed
+    by label, then shot count. A checkpoint stores train's float32-exact
+    params, so each result equals `train` plus `eval` of its checkpoint."""
+    data = prepare_experiment(cfg)
+    # a throwaway draw at the largest shot count: too few images fail before training
+    draw_gallery(gallery_pool(data.test_samples)[0], max(cfg.eval.shots), SplitMix64(0))
+    results = {}
+    for label, sub in variants:
+        params, _ = train_model(sub, data)
+        results[label] = evaluate_model(sub, params, data)
+    _write_provenance(cfg, out_dir)
+    return results
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir) -> dict:
     """Evaluate the ablation grid; every regime shares the same data,
     split, probe and seed streams so rows differ only in the switches."""
     out_dir = Path(out_dir)
-    data = prepare_experiment(cfg)  # the switches never reach data, split or probes
-    results = {}
-    rows = ["# regime\tuse_os\tuse_obc\tshots\trank1\trank5\trank10"]
-    series = {}
+    variants = []
     for name, use_os, use_obc in _REGIMES:
-        sub = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, use_os=use_os, use_obc=use_obc))
-        reports = train_and_eval(sub, data)
-        results[name] = reports
-        for n, rep in sorted(reports.items()):
+        run = dataclasses.replace(cfg.run, use_os=use_os, use_obc=use_obc)
+        variants.append((name, dataclasses.replace(cfg, run=run)))
+    results = _run_grid(cfg, variants, out_dir)
+    rows = ["# regime\tuse_os\tuse_obc\tshots\trank1\trank5\trank10"]
+    for name, use_os, use_obc in _REGIMES:
+        for n, rep in sorted(results[name].items()):
             rows.append(
                 f"{name}\t{int(use_os)}\t{int(use_obc)}\t{n}"
                 f"\t{rep.rank1!r}\t{rep.rank5!r}\t{rep.rank10!r}"
             )
-            series.setdefault(n, []).append(
-                (name, list(range(1, len(rep.cmc) + 1)), [r * 100 for r in rep.cmc])
-            )
-    _write_provenance(cfg, out_dir)
     write_lines(out_dir / "ablation.tsv", rows)
-    for n, s in sorted(series.items()):
-        line_plot(s, out_dir / f"ablation_cmc_n{n}.svg", f"CMC, N={n}", "rank", "match rate (%)")
+    for n in sorted(cfg.eval.shots):
+        series = [_cmc_series(name, results[name][n]) for name, _, _ in _REGIMES]
+        line_plot(series, out_dir / f"ablation_cmc_n{n}.svg", f"CMC, N={n}", "rank", "match rate (%)")
     return results
 
 
 def run_alpha_sweep(cfg: ExperimentConfig, alphas, out_dir) -> dict:
-    """Train and evaluate once per loss weight; table sorted by alpha."""
+    """Train and evaluate the full regime per loss weight; table sorted by alpha."""
     out_dir = Path(out_dir)
     if not alphas:
         raise ValueError("no alpha values to sweep")
     if len(set(alphas)) < len(alphas):
         raise ValueError(f"an alpha is repeated in {tuple(alphas)}")
-    # an alpha outside [0, 1] is refused here, before any work
-    trains = [dataclasses.replace(cfg.train, alpha=a) for a in sorted(alphas)]
-    data = prepare_experiment(cfg)  # alpha never reaches data, split or probes
     run = dataclasses.replace(cfg.run, use_os=True, use_obc=True)
-    results = {}
-    for t in trains:
-        results[t.alpha] = train_and_eval(dataclasses.replace(cfg, train=t, run=run), data)
-    shots = sorted(next(iter(results.values())))
-    _write_provenance(cfg, out_dir)
-    rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
-    for a in sorted(results):
-        rows.append(f"{a!r}\t" + "\t".join(f"{results[a][n].rank1!r}" for n in shots))
-    write_lines(out_dir / "alpha_sweep.tsv", rows)
-    series = [
-        (f"N={n}", sorted(results), [results[a][n].rank1 for a in sorted(results)]) for n in shots
+    # an alpha outside [0, 1] is refused here, before any work
+    variants = [
+        (a, dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, alpha=a), run=run))
+        for a in sorted(alphas)
     ]
+    results = _run_grid(cfg, variants, out_dir)
+    shots = sorted(cfg.eval.shots)
+    rows = ["# alpha\t" + "\t".join(f"rank1_n{n}" for n in shots)]
+    for a, reports in results.items():
+        rows.append(f"{a!r}\t" + "\t".join(f"{reports[n].rank1!r}" for n in shots))
+    write_lines(out_dir / "alpha_sweep.tsv", rows)
+    series = [(f"N={n}", list(results), [r[n].rank1 for r in results.values()]) for n in shots]
     line_plot(series, out_dir / "alpha_sweep.svg", "rank-1 vs loss weight", "alpha", "rank-1 (%)")
     return results
 

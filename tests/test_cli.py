@@ -730,6 +730,26 @@ class TestExitCodes:
         assert "data error" in err and "patch_side 10" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "report", "simulate"])
+    def test_one_identity_twice_in_a_branch_writes_nothing(self, tmp_path, capsys, command):
+        # whole/1/ beside whole/001/ would merge two directories into identity 1
+        root = tmp_path / "data"
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+            for branch in ("whole", "occluded"):
+                p = root / branch / f"{s.identity:03d}"
+                p.mkdir(parents=True, exist_ok=True)
+                save_image(s.image, p / f"{s.id}.ppm")
+        first = sorted((root / "whole").iterdir())[0]
+        twin = root / "whole" / str(int(first.name))
+        shutil.copytree(first, twin)
+        cfg = _scanned_ini(root, tmp_path / "cfg.ini")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert str(first) in err and str(twin) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
     def test_band_no_scanned_image_holds_is_a_config_error(self, tmp_path, capsys, command):
         # the image size of a scanned dataset is known only after the scan;

@@ -69,6 +69,28 @@ class TestScan:
         with pytest.raises(UnparsableIdentity, match="ASCII digits"):
             scan_dataset(tmp_path)
 
+    def test_one_identity_twice_in_a_branch_is_refused(self, tmp_path):
+        # whole/1/ and whole/001/ would merge two people into identity 1
+        write_tree(tmp_path, ["001", "002"], occluded=1, whole=1)
+        (tmp_path / "whole" / "1").mkdir()
+        save_image(Image(np.zeros((12, 8, 3), np.uint8)), tmp_path / "whole" / "1" / "img0.ppm")
+        with pytest.raises(UnparsableIdentity) as info:
+            scan_dataset(tmp_path)
+        message = str(info.value)
+        assert str(tmp_path / "whole" / "001") in message and str(tmp_path / "whole" / "1") in message
+
+    def test_one_identity_padded_differently_across_branches_loads(self, tmp_path):
+        for branch, name in (("whole", "001"), ("occluded", "1"), ("whole", "2"), ("occluded", "002")):
+            (tmp_path / branch / name).mkdir(parents=True)
+            save_image(Image(np.zeros((12, 8, 3), np.uint8)), tmp_path / branch / name / "img0.ppm")
+        samples = scan_dataset(tmp_path)
+        assert [(s.id, s.identity, s.occlusion) for s in samples] == [
+            ("occluded/002/img0.ppm", 2, Occlusion.REAL),
+            ("occluded/1/img0.ppm", 1, Occlusion.REAL),
+            ("whole/001/img0.ppm", 1, Occlusion.FULL_BODY),
+            ("whole/2/img0.ppm", 2, Occlusion.FULL_BODY),
+        ]
+
     @pytest.mark.parametrize("data", [b"P6", b"P7\n8 12\n255\n", b"P6\n8 12\n255\n\0"])
     def test_bad_file_named_once(self, tmp_path, data):
         write_tree(tmp_path, ["001"], occluded=1, whole=1)

@@ -213,9 +213,19 @@ class TestSharedPreparation:
         monkeypatch.setattr(pipeline, "prepare_experiment", spy)
         run(cfg, tmp_path / "once")
         assert len(calls) == 1
-        # reference: every trained model prepares data from its own config
-        train_and_eval = pipeline.train_and_eval
-        monkeypatch.setattr(pipeline, "train_and_eval", lambda sub, data=None: train_and_eval(sub))
+        # reference: every model prepares data from its own config, and is
+        # trained and evaluated on it
+        train_model, evaluate_model = pipeline.train_model, pipeline.evaluate_model
+        own = []
+
+        def train_on_own_data(sub, data):
+            own.append(pipeline.prepare_experiment(sub))
+            return train_model(sub, own[-1])
+
+        monkeypatch.setattr(pipeline, "train_model", train_on_own_data)
+        monkeypatch.setattr(
+            pipeline, "evaluate_model", lambda sub, params, data: evaluate_model(sub, params, own[-1])
+        )
         run(cfg, tmp_path / "each")
         assert len(calls) == 1 + 1 + models  # the run's own, then one per model
         once = (tmp_path / "once" / table).read_bytes()
@@ -389,18 +399,50 @@ class TestSaliencyComparison:
         assert a[1] == b[1]
 
 
-class TestTrainAndEval:
-    def test_in_memory_eval_matches_the_checkpoint_path(self, tmp_path):
-        # train_and_eval evaluates train's float32-exact params as they are;
-        # a train command followed by an eval of its checkpoint must agree
-        cfg = tiny_cfg()
-        cfg.eval.shots = (1, 2)
-        cfg.occlusion.regenerate_per_epoch = True
-        in_memory = pipeline.train_and_eval(cfg)
+def _grid_cfg():
+    # 12 identities and 30 iterations: every regime, and alpha 0.6 against
+    # the default 0.8, give a different CMC at this size
+    cfg = tiny_cfg()
+    cfg.dataset.identities = 12
+    cfg.train.iterations = 30
+    cfg.eval.shots = (1, 2)
+    cfg.occlusion.regenerate_per_epoch = True
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def grid_results(tmp_path_factory):
+    return pipeline.run_ablation(_grid_cfg(), tmp_path_factory.mktemp("grid"))
+
+
+class TestGridMatchesCheckpointPath:
+    @pytest.mark.parametrize(
+        "name, use_os, use_obc", pipeline._REGIMES, ids=[r[0] for r in pipeline._REGIMES]
+    )
+    def test_in_memory_eval_matches_the_checkpoint_path(
+        self, tmp_path, grid_results, name, use_os, use_obc
+    ):
+        # the grid evaluates train's float32-exact params as they are; a
+        # train command under the regime's switches followed by an eval of
+        # its checkpoint must agree
+        cfg = _grid_cfg()
+        cfg.run.use_os, cfg.run.use_obc = use_os, use_obc
         ckpt = pipeline.run_train(cfg, tmp_path / "train")
         on_disk = pipeline.run_eval(cfg, ckpt, tmp_path / "eval")
+        in_memory = grid_results[name]
         assert sorted(in_memory) == sorted(on_disk) == [1, 2]
         for n, rep in in_memory.items():
             other = on_disk[n]
             assert list(rep.cmc) == list(other.cmc), n
             assert (rep.rank1, rep.rank5, rep.rank10) == (other.rank1, other.rank5, other.rank10), n
+
+    def test_a_sweep_point_is_the_full_regime_at_that_alpha(self, tmp_path, grid_results):
+        cfg = _grid_cfg()
+        full = {cfg.train.alpha: grid_results["full"]}
+        cfg.train.alpha = 0.6
+        full[0.6] = pipeline.run_ablation(cfg, tmp_path / "grid")["full"]
+        sweep = pipeline.run_alpha_sweep(_grid_cfg(), list(full), tmp_path / "sweep")
+        assert list(sweep) == sorted(full)
+        for a, reports in sweep.items():
+            rank1 = {n: r.rank1 for n, r in full[a].items()}
+            assert {n: r.rank1 for n, r in reports.items()} == rank1, a
