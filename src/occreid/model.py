@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -363,8 +363,16 @@ def sgd_step(params: ModelParams, grads: dict, lr: float) -> ModelParams:
     return ModelParams(params.arch, updated)
 
 
-def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
-    """SGD over the sample set with jittered center-crop augmentation.
+def train(samples, cfgs, seed: int, occlusions=None) -> list:
+    """SGD over the sample set with jittered center-crop augmentation, for a
+    group of loss weights trained in lockstep.
+
+    cfgs is a list of TrainConfigs that agree in every field but alpha; a
+    ValueError names the first other field that differs. The group shares
+    one batch stream: one uint8 stack, one occlusion schedule, one order
+    and jitter stream, and one crop gather and float conversion per step.
+    Each model then runs its own forward, backward and sgd_step, so its
+    params and history are bit-identical to those of a one-element group.
 
     Every step runs in float32: the float32-exact initial weights are cast
     down once, and each batch is converted straight to float32. The
@@ -379,9 +387,12 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
     the occlusion flag of each sample supplies the binary target. Batches
     walk repeated uniform shuffles of the set. The initial weights come
     from derive_seed(seed, 0), the shuffle and crop-jitter streams from
-    derive_seed(derive_seed(seed, 1 or 2), 0). Returns the final params
-    and one (iteration, total, id_loss, obc_loss) row per step, where
-    total is multi_task_loss(id_loss, obc_loss, alpha).
+    derive_seed(derive_seed(seed, 1 or 2), 0). Returns one entry per
+    config, in order: the final params and one (iteration, total, id_loss,
+    obc_loss) row per step, where total is multi_task_loss(id_loss,
+    obc_loss, alpha). A model whose update is not finite stops there, and
+    its entry is the NonFiniteGradient or NonFiniteParameter naming the
+    iteration; the rest of the group carry on. Every other error is raised.
 
     occlusions, when given, maps an epoch number to that epoch's occluded
     set, one sample per input sample. Training then runs in epochs of
@@ -390,7 +401,19 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
     first iteration `it` the shuffle and jitter streams restart from
     derive_seed(derive_seed(seed, 1 or 2), it) with an empty queue.
     """
-    cfg.check()
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("no configs to train")
+    cfg = cfgs[0]
+    for other in cfgs:
+        other.check()
+        for f in fields(TrainConfig):
+            mine, theirs = getattr(cfg, f.name), getattr(other, f.name)
+            if f.name != "alpha" and mine != theirs:
+                raise ValueError(
+                    f"configs trained together differ in {f.name} ({mine!r}, {theirs!r}); "
+                    "only alpha may differ"
+                )
     samples = list(samples)
     if not samples:
         raise ValueError("empty training set")
@@ -398,7 +421,10 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
     n = len(samples)
     identities = sorted({s.identity for s in samples})
     label_of = {ident: i for i, ident in enumerate(identities)}
-    params = _cast(init_params(arch, len(identities), derive_seed(seed, 0)), np.float32)
+    init = _cast(init_params(arch, len(identities), derive_seed(seed, 0)), np.float32)
+    params = [init] * len(cfgs)
+    history = [[] for _ in cfgs]
+    failures = [None] * len(cfgs)
     jitter = arch.default_jitter if cfg.max_jitter == -1 else cfg.max_jitter
     side = arch.resize_side
     copies = 1 if occlusions is None else 2  # rows n: hold the occluded half, rewritten per epoch
@@ -411,8 +437,10 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
     center = (side - arch.input_side) // 2
     epoch_len = cfg.iterations if occlusions is None else max(1, math.ceil(2 * n / cfg.batch_size))
 
-    history = []
     for it in range(cfg.iterations):
+        live = [k for k, failure in enumerate(failures) if failure is None]
+        if not live:
+            break
         if it % epoch_len == 0:  # an epoch starts: fresh occlusions, streams and queue
             if occlusions is not None:
                 occluded = list(occlusions(it // epoch_len))
@@ -432,21 +460,28 @@ def train(samples, cfg: TrainConfig, seed: int, occlusions=None):
         shift = np.zeros((len(batch), 2), dtype=np.int64)
         if jitter:
             shift[:] = [[jitter_rng.randint(-jitter, jitter) for _ in range(2)] for _ in batch]
-        pixels = crops[batch, center + shift[:, 1], center + shift[:, 0]]
-        # a diverging run overflows here; sgd_step's checks report it
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = forward(params, _to_input(pixels, np.float32))
-            lp, lo = _mean_losses(trace, labels_all[batch], flags_all[batch])
-            grads = backward(trace, params, labels_all[batch], flags_all[batch], cfg.alpha)
-        history.append((it, multi_task_loss(lp, lo, cfg.alpha), lp, lo))
+        x = _to_input(crops[batch, center + shift[:, 1], center + shift[:, 0]], np.float32)
+        labels, flags = labels_all[batch], flags_all[batch]
         lr = cfg.learning_rate
         if cfg.lr_decay_every > 0:
             lr *= LR_DECAY_FACTOR ** (it // cfg.lr_decay_every)
-        try:
-            params = sgd_step(params, grads, lr)
-        except (NonFiniteGradient, NonFiniteParameter) as e:
-            raise type(e)(f"iteration {it}: {e}") from e
-    return _cast(params, np.float64), history
+        for k in live:
+            alpha = cfgs[k].alpha
+            # a diverging run overflows here; sgd_step's checks report it
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = forward(params[k], x)
+                lp, lo = _mean_losses(trace, labels, flags)
+                grads = backward(trace, params[k], labels, flags, alpha)
+            history[k].append((it, multi_task_loss(lp, lo, alpha), lp, lo))
+            try:
+                params[k] = sgd_step(params[k], grads, lr)
+            except (NonFiniteGradient, NonFiniteParameter) as e:
+                failures[k] = type(e)(f"iteration {it}: {e}")
+                failures[k].__cause__ = e
+    return [
+        (_cast(p, np.float64), h) if failure is None else failure
+        for p, h, failure in zip(params, history, failures)
+    ]
 
 
 def _resize_into(out: np.ndarray, named_images, side: int, crop=slice(None)) -> None:

@@ -4,8 +4,10 @@ Binds the modules into reproducible runs: occlusion simulation over a
 sample set, training on the combined set, multi-shot evaluation, the
 ablation grid (occlusion simulator and occlusion-classification loss
 switched independently) and the alpha sweep. The grid and the sweep share
-one runner: one preparation, one shot check, the variants trained and
-evaluated in order, and nothing written before the last is evaluated.
+one runner: one preparation, one shot check, the variants trained in
+lockstep groups that see the same batches, every model evaluated on one
+preprocessing of the test set, and nothing written before the last is
+evaluated.
 Every run directory receives the resolved config and all derived seeds,
 and reruns with the same config produce byte-identical artifacts.
 
@@ -37,7 +39,6 @@ from .evaluate import EvalReport, evaluate
 from .fileio import write_atomic, write_lines
 from .imaging import Image, load_image, save_image
 from .model import (
-    ModelParams,
     extract_features,
     load_checkpoint,
     preprocess_images,
@@ -203,34 +204,52 @@ def _build_occluded_set(cfg: ExperimentConfig, data: ExperimentData, epoch: int 
     return build_occlusion_set(data.train_full, cfg.occlusion, os_seed)[0]
 
 
-def train_model(cfg: ExperimentConfig, data: ExperimentData | None = None):
-    """Train under the configured ablation switches.
+def _lockstep_key(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg without what sets its effective alpha: variants with equal keys
+    see the same batches and can train in lockstep."""
+    train_cfg = dataclasses.replace(cfg.train, alpha=1.0)
+    return dataclasses.replace(cfg, train=train_cfg, run=dataclasses.replace(cfg.run, use_obc=True))
+
+
+def train_model(group: list, data: ExperimentData | None = None) -> list:
+    """Train a group of variants under their ablation switches in one
+    lockstep model.train; the variants may differ only in [train] alpha
+    and [run] use_obc, else ValueError.
 
     use_os=False trains on the full-body set only; use_obc=False forces
     alpha to 1 so the occlusion head receives no gradient. With
     regenerate_per_epoch the occluded half is drawn afresh for each epoch
     from a stream derived per epoch. A configured alpha of 0 or 1 under
-    use_obc warns before any work. Returns (params, history rows).
+    use_obc warns, once per such variant, before any work. Returns one
+    (params, history rows) per variant, or the exception that stopped its
+    training, as model.train does; each equals a one-element group.
     """
-    if cfg.run.use_obc and cfg.train.alpha in (0.0, 1.0):
-        warnings.warn(
-            f"[train] alpha = {cfg.train.alpha} disables one loss entirely; values in "
-            "(0, 1) with alpha >= 0.5 are the intended operating range",
-            stacklevel=2,
-        )
+    cfg = group[0]
+    if any(_lockstep_key(sub) != _lockstep_key(cfg) for sub in group[1:]):
+        raise ValueError("variants trained together differ in more than alpha and use_obc")
+    for sub in group:
+        if sub.run.use_obc and sub.train.alpha in (0.0, 1.0):
+            warnings.warn(
+                f"[train] alpha = {sub.train.alpha} disables one loss entirely; values in "
+                "(0, 1) with alpha >= 0.5 are the intended operating range",
+                stacklevel=2,
+            )
     data = data or prepare_experiment(cfg)
     seed = derive_seed(cfg.run.seed, TAG_TRAIN)
-    tcfg = cfg.train if cfg.run.use_obc else dataclasses.replace(cfg.train, alpha=1.0)
+    tcfgs = [s.train if s.run.use_obc else dataclasses.replace(s.train, alpha=1.0) for s in group]
     if not cfg.run.use_os:
-        return train(data.train_full, tcfg, seed)
+        return train(data.train_full, tcfgs, seed)
     if cfg.occlusion.regenerate_per_epoch:
-        return train(data.train_full, tcfg, seed, lambda e: _build_occluded_set(cfg, data, e))
-    return train(data.train_full + _build_occluded_set(cfg, data), tcfg, seed)
+        return train(data.train_full, tcfgs, seed, lambda e: _build_occluded_set(cfg, data, e))
+    return train(data.train_full + _build_occluded_set(cfg, data), tcfgs, seed)
 
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
-    params, history = train_model(cfg)
+    [trained] = train_model([cfg])
+    if isinstance(trained, Exception):
+        raise trained
+    params, history = trained
     _write_provenance(cfg, out_dir)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(params, ckpt)
@@ -252,13 +271,17 @@ def _write_report(report: EvalReport, path: Path) -> None:
     write_lines(path, lines)
 
 
-def evaluate_model(cfg: ExperimentConfig, params: ModelParams, data: ExperimentData) -> dict:
-    """One report per shot count; test features and their distances are
-    computed once."""
+def evaluate_model(cfg: ExperimentConfig, group: list, data: ExperimentData, pixels=None) -> list:
+    """One {shot count: report} per params in group, in order; each model's
+    test features and their distances are computed once. pixels, the test
+    images as preprocess_images gives them, are made from the first
+    model's architecture when not given."""
     samples = data.test_samples
-    feats = extract_features(params, preprocess_images([s.image for s in samples], params.arch))
-    ev = cfg.eval
-    return evaluate(feats, samples, ev.shots, ev.trials, derive_seed(cfg.run.seed, TAG_EVAL))
+    if pixels is None:
+        pixels = preprocess_images([s.image for s in samples], group[0].arch)
+    ev, seed = cfg.eval, derive_seed(cfg.run.seed, TAG_EVAL)
+    feats = (extract_features(params, pixels) for params in group)
+    return [evaluate(f, samples, ev.shots, ev.trials, seed) for f in feats]
 
 
 def _write_split_manifest(data: ExperimentData, out_dir: Path) -> None:
@@ -287,7 +310,7 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
     out_dir = Path(out_dir)
     params = load_checkpoint(checkpoint)
     data = prepare_experiment(cfg)
-    reports = evaluate_model(cfg, params, data)
+    [reports] = evaluate_model(cfg, [params], data)
     _write_provenance(cfg, out_dir)
     _write_split_manifest(data, out_dir)
     summary = ["# shots\trank1\trank5\trank10"]
@@ -303,19 +326,35 @@ def run_eval(cfg: ExperimentConfig, checkpoint, out_dir) -> dict:
 
 
 def _run_grid(cfg: ExperimentConfig, variants: list, out_dir: Path) -> dict:
-    """Train and evaluate each (label, cfg) variant in order on one
-    preparation of cfg's data, which switches and alpha never reach; keyed
-    by label, then shot count. A checkpoint stores train's float32-exact
-    params, so each result equals `train` plus `eval` of its checkpoint."""
+    """Train and evaluate the (label, cfg) variants on one preparation of
+    cfg's data, which switches and alpha never reach; keyed by label in
+    variant order, then shot count.
+
+    Variants that differ only in effective alpha train as one lockstep
+    group, groups in order of their first variant, and every model is
+    evaluated on test pixels preprocessed once. A failure is raised as the
+    variant-by-variant loop would have met it first: the lowest-index
+    failure, once every variant before it has trained. A checkpoint stores
+    train's float32-exact params, so each result equals `train` plus
+    `eval` of its checkpoint."""
     data = prepare_experiment(cfg)
     # a throwaway draw at the largest shot count: too few images fail before training
     draw_gallery(gallery_pool(data.test_samples)[0], max(cfg.eval.shots), SplitMix64(0))
-    results = {}
-    for label, sub in variants:
-        params, _ = train_model(sub, data)
-        results[label] = evaluate_model(sub, params, data)
+    keys = [_lockstep_key(sub) for _, sub in variants]
+    firsts = [i for i, key in enumerate(keys) if key not in keys[:i]]
+    groups = [[j for j, key in enumerate(keys) if key == keys[i]] for i in firsts]
+    trained, reports, pixels = {}, {}, None
+    for group in groups:
+        trained.update(zip(group, train_model([variants[i][1] for i in group], data)))
+        failed = [i for i in sorted(trained) if isinstance(trained[i], Exception)]
+        if failed and all(i in trained for i in range(failed[0])):
+            raise trained[failed[0]]
+        if pixels is None:  # the first variant trained: the serial loop evaluated it here
+            pixels = preprocess_images([s.image for s in data.test_samples], cfg.train.arch)
+        done = [i for i in group if i not in failed]
+        reports.update(zip(done, evaluate_model(cfg, [trained[i][0] for i in done], data, pixels)))
     _write_provenance(cfg, out_dir)
-    return results
+    return {label: reports[i] for i, (label, _) in enumerate(variants)}
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir) -> dict:

@@ -72,8 +72,8 @@ def run_regime(cfg, use_os, use_obc):
         cfg, run=dataclasses.replace(cfg.run, use_os=use_os, use_obc=use_obc)
     )
     data = prepare_experiment(sub)
-    params, _ = train_model(sub, data)
-    return evaluate_model(sub, params, data)[1].rank1
+    [(params, _)] = train_model([sub], data)
+    return evaluate_model(sub, [params], data)[0][1].rank1
 
 
 def random_tiny_case(seed):
@@ -241,13 +241,13 @@ class TestCriterion6LossIdentities:
         geometry = dict(input_side=12, resize_side=14, conv_channels=(4, 8))
         cfg = TrainConfig(alpha=1.0, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
         initial = init_params(cfg.arch, 4, derive_seed(3, 0))
-        final, history = train(samples, cfg, 3)
+        [(final, history)] = train(samples, [cfg], 3)
         assert np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
         assert np.array_equal(initial.tensors["obc.b"], final.tensors["obc.b"])
         assert not np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
 
         cfg8 = TrainConfig(alpha=0.8, learning_rate=0.02, batch_size=8, iterations=100, **geometry)
-        _, hist8 = train(samples, cfg8, 3)
+        [(_, hist8)] = train(samples, [cfg8], 3)
         for _, total, lp, lo in hist8:
             assert total == 0.8 * lp + (1.0 - 0.8) * lo
         for _, total, lp, lo in history:
@@ -355,7 +355,7 @@ class TestCriterion8SaliencyMetric:
         geometry = dict(input_side=12, resize_side=14, conv_channels=(4, 8))
         cfg = TrainConfig(learning_rate=0.02, batch_size=8, iterations=60, **geometry)
         arch = cfg.arch
-        params, _ = train(samples, cfg, 10)
+        [(params, _)] = train(samples, [cfg], 10)
         from occreid.model import preprocess_image
 
         chunks = saliency_maps(params, [preprocess_image(s.image, arch) for s in samples])

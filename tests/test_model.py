@@ -551,7 +551,7 @@ class TestTrainConfig:
         cfg = TrainConfig()
         cfg.batch_size = 0
         with pytest.raises(ValueError, match="batch_size"):
-            train(unread(), cfg, 0)
+            train(unread(), [cfg], 0)
         occ = OcclusionConfig()
         occ.ratio_lo, occ.ratio_hi = 0.5, 0.2
         with pytest.raises(ValueError, match="ratio_lo"):
@@ -578,22 +578,22 @@ def small_train_setup(iterations, alpha=0.8, ids=4):
 class TestTrain:
     def test_loss_decreases_on_toy_run(self):
         samples, cfg = small_train_setup(200)
-        _, history = train(samples, cfg, SEED)
+        [(_, history)] = train(samples, [cfg], SEED)
         first = np.mean([h[1] for h in history[:10]])
         last = np.mean([h[1] for h in history[-10:]])
         assert last < first
 
     def test_history_length_and_decomposition(self):
         samples, cfg = small_train_setup(50)
-        _, history = train(samples, cfg, SEED)
+        [(_, history)] = train(samples, [cfg], SEED)
         assert len(history) == 50
         for _, total, lp, lo in history:
             assert total == cfg.alpha * lp + (1.0 - cfg.alpha) * lo
 
     def test_deterministic_end_to_end(self):
         samples, cfg = small_train_setup(40)
-        pa, ha = train(samples, cfg, SEED)
-        pb, hb = train(samples, cfg, SEED)
+        [(pa, ha)] = train(samples, [cfg], SEED)
+        [(pb, hb)] = train(samples, [cfg], SEED)
         assert ha == hb
         for a, b in zip(pa.tensors.values(), pb.tensors.values()):
             assert np.array_equal(a, b)
@@ -604,7 +604,7 @@ class TestTrain:
         from occreid.rng import derive_seed
 
         initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
-        final, _ = train(samples, cfg1, SEED)
+        [(final, _)] = train(samples, [cfg1], SEED)
         assert np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
         assert np.array_equal(initial.tensors["obc.b"], final.tensors["obc.b"])
         assert not np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
@@ -615,7 +615,7 @@ class TestTrain:
         from occreid.rng import derive_seed
 
         initial = init_params(cfg.arch, 4, derive_seed(SEED, 0))
-        final, _ = train(samples, cfg0, SEED)
+        [(final, _)] = train(samples, [cfg0], SEED)
         assert np.array_equal(initial.tensors["id.w"], final.tensors["id.w"])
         assert np.array_equal(initial.tensors["id.b"], final.tensors["id.b"])
         assert not np.array_equal(initial.tensors["obc.w"], final.tensors["obc.w"])
@@ -623,7 +623,7 @@ class TestTrain:
     def test_empty_set_rejected(self):
         _, cfg = small_train_setup(5)
         with pytest.raises(ValueError):
-            train([], cfg, SEED)
+            train([], [cfg], SEED)
 
     def test_mixed_channels_name_the_sample(self):
         # a gray image among colour ones, in the full-body set or in an
@@ -631,9 +631,75 @@ class TestTrain:
         samples, cfg = small_train_setup(5)
         gray = dataclasses.replace(samples[2], id="gray", image=Image(np.zeros((24, 16), np.uint8)))
         with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
-            train(samples[:2] + [gray] + samples[3:], cfg, SEED)
+            train(samples[:2] + [gray] + samples[3:], [cfg], SEED)
         with pytest.raises(ShapeMismatch, match="gray has 1 channels"):
-            train(samples, cfg, SEED, occlusions=lambda e: [gray] + samples[1:])
+            train(samples, [cfg], SEED, occlusions=lambda e: [gray] + samples[1:])
+
+
+class TestLockstep:
+    """Loss weights trained as one group share the batch stream, and each
+    model's result is that of training it alone."""
+
+    @staticmethod
+    def jittered_setup(iterations):
+        # 16 samples and batch 8: epochs of ceil(32 / 8) = 4 iterations, each
+        # with fresh occlusions; lr decays at iterations 10 and 20
+        from occreid.occsim import OcclusionConfig, build_occlusion_set
+
+        samples, cfg = small_train_setup(iterations)
+        cfg = dataclasses.replace(cfg, max_jitter=cfg.arch.default_jitter, lr_decay_every=10)
+
+        def occlusions(epoch):
+            return build_occlusion_set(samples, OcclusionConfig(patch_side=6), epoch)[0]
+
+        return samples, cfg, occlusions
+
+    def test_each_model_equals_its_one_element_run(self):
+        samples, cfg, occlusions = self.jittered_setup(25)
+        group = [dataclasses.replace(cfg, alpha=a) for a in (0.3, 1.0, 0.8)]
+        together = train(samples, group, SEED, occlusions)
+        assert len(together) == len(group)
+        for member, (params, history) in zip(group, together):
+            [(alone, alone_history)] = train(samples, [member], SEED, occlusions)
+            assert len(history) == 25 and history == alone_history, member.alpha
+            assert list(params.tensors) == list(alone.tensors)
+            for name, arr in params.tensors.items():
+                assert np.array_equal(arr, alone.tensors[name]), (member.alpha, name)
+        assert together[0][1] != together[1][1] != together[2][1]
+
+    def test_configs_may_differ_only_in_alpha(self):
+        samples, cfg = small_train_setup(5)
+        other = dataclasses.replace(cfg, alpha=0.5, learning_rate=0.1)
+        with pytest.raises(ValueError, match="differ in learning_rate"):
+            train(samples, [cfg, other], SEED)
+        with pytest.raises(ValueError, match="no configs"):
+            train(samples, [], SEED)
+
+    def test_a_failing_model_stops_and_the_rest_carry_on(self, monkeypatch):
+        import occreid.model as model
+
+        samples, cfg, occlusions = self.jittered_setup(12)
+        group = [dataclasses.replace(cfg, alpha=a) for a in (0.5, 1.0)]
+        real_step, obc_steps = model.sgd_step, []
+
+        def failing_step(params, grads, lr):
+            # only alpha 0.5 gives the OBC head a gradient; its fourth step fails
+            if np.any(grads["obc.w"]):
+                obc_steps.append(lr)
+                if len(obc_steps) == 4:
+                    raise NonFiniteGradient("obc.w gradient is not finite in float32")
+            return real_step(params, grads, lr)
+
+        monkeypatch.setattr(model, "sgd_step", failing_step)
+        failed, (params, history) = train(samples, group, SEED, occlusions)
+        assert isinstance(failed, NonFiniteGradient)
+        assert str(failed) == "iteration 3: obc.w gradient is not finite in float32"
+        assert isinstance(failed.__cause__, NonFiniteGradient)
+        assert len(obc_steps) == 4  # the failed model took no further step
+        [(alone, alone_history)] = train(samples, group[1:], SEED, occlusions)
+        assert len(history) == 12 and history == alone_history
+        for name, arr in params.tensors.items():
+            assert np.array_equal(arr, alone.tensors[name]), name
 
 
 def train_crop(img, side, max_jitter=0, rng=None):
@@ -731,7 +797,7 @@ class TestTrainBatchAssembly:
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "backward", spy_backward)
         monkeypatch.setattr(model, "resize", spy_resize)
-        train(samples, cfg, 11, occlusions if occluded else None)
+        train(samples, [cfg], 11, occlusions if occluded else None)
         built = list(epochs)
         assert built == ([0, 1, 2] if occluded else [])
         want = replay_train_inputs(samples, cfg, 11, occlusions if occluded else None)
@@ -754,7 +820,7 @@ class TestTrainBatchAssembly:
         samples = generate_synthetic_dataset(2, 2, 16, 24, SplitMix64(2))
         with pytest.raises(ValueError, match="max_jitter"):
             cfg = TrainConfig(iterations=1, input_side=12, resize_side=18, max_jitter=jitter)
-            train(samples, cfg, 0)
+            train(samples, [cfg], 0)
 
 
 class TestFloat32Training:
@@ -778,7 +844,7 @@ class TestFloat32Training:
 
         monkeypatch.setattr(model, "forward", spy_forward)
         monkeypatch.setattr(model, "backward", spy_backward)
-        params, _ = train(samples, cfg, SEED)
+        [(params, _)] = train(samples, [cfg], SEED)
         f32 = np.dtype(np.float32)
         assert seen == [("forward", f32, {f32}), ("backward", {f32}, {f32})] * cfg.iterations
         for name, arr in params.tensors.items():
@@ -796,7 +862,7 @@ class TestFloat32Training:
         def occlusions(epoch):
             return build_occlusion_set(samples, OcclusionConfig(patch_side=6), epoch)[0]
 
-        _, history = train(samples, cfg, SEED, occlusions)
+        [(_, history)] = train(samples, [cfg], SEED, occlusions)
         params = init_params(cfg.arch, 4, derive_seed(SEED, 0))
         reference = []
         replayed = replay_train_inputs(samples, cfg, SEED, occlusions)
@@ -888,7 +954,7 @@ class TestPreprocessImages:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         samples, cfg = small_train_setup(10)
-        params, _ = train(samples, cfg, SEED)
+        [(params, _)] = train(samples, [cfg], SEED)
         path = tmp_path / "model.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)

@@ -83,14 +83,14 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, seed, occlusions=None):
+        def spy(samples, cfgs, seed, occlusions=None):
             seen["n"] = len(samples)
             seen["flags"] = {s.occlusion for s in samples}
-            return original(samples, cfg, seed, occlusions)
+            return original(samples, cfgs, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
         cfg = tiny_cfg(use_os=False)
-        train_model(cfg)
+        train_model([cfg])
         assert seen["n"] == 8  # 2 train identities x 4 images
         assert seen["flags"] == {Occlusion.FULL_BODY}
 
@@ -98,25 +98,25 @@ class TestTrainModelSwitches:
         seen = {}
         original = train
 
-        def spy(samples, cfg, seed, occlusions=None):
+        def spy(samples, cfgs, seed, occlusions=None):
             seen["n"] = len(samples)
-            return original(samples, cfg, seed, occlusions)
+            return original(samples, cfgs, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
-        train_model(tiny_cfg(use_os=True))
+        train_model([tiny_cfg(use_os=True)])
         assert seen["n"] == 16
 
     def test_no_obc_forces_alpha_one(self, monkeypatch):
         seen = {}
         original = train
 
-        def spy(samples, cfg, seed, occlusions=None):
-            seen["alpha"] = cfg.alpha
-            return original(samples, cfg, seed, occlusions)
+        def spy(samples, cfgs, seed, occlusions=None):
+            seen["alpha"] = [c.alpha for c in cfgs]
+            return original(samples, cfgs, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
-        train_model(tiny_cfg(use_obc=False))
-        assert seen["alpha"] == 1.0
+        train_model([tiny_cfg(use_obc=False)])
+        assert seen["alpha"] == [1.0]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_alpha_warning_follows_the_configured_alpha(self, alpha):
@@ -128,13 +128,13 @@ class TestTrainModelSwitches:
         cfg.train.iterations = 1
         cfg.train.alpha = alpha
         with pytest.warns(UserWarning, match=re.escape(f"[train] alpha = {alpha} ")) as caught:
-            train_model(cfg)
+            train_model([cfg])
         # the reported location is the caller's source line, not generated code
         assert [Path(w.filename).suffix for w in caught] == [".py"]
         cfg.run.use_obc = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_model(cfg)
+            train_model([cfg])
 
     def test_report_and_sweep_warn_per_training_at_alpha_0_or_1(self, tmp_path):
         # report: only the two regimes with the OBC loss on train with the
@@ -164,7 +164,7 @@ class TestTrainModelSwitches:
         cfg.occlusion.regenerate_per_epoch = True
         cfg.train.iterations = 6
         cfg.train.batch_size = 8  # combined set is 16 -> epoch length 2
-        train_model(cfg)
+        train_model([cfg])
         # builds: synthetic eval probes, then one per epoch; epochs are
         # ceil(2N / batch_size) iterations from the full-body count N, and
         # later epochs derive fresh streams
@@ -176,8 +176,8 @@ class TestTrainModelSwitches:
         cfg_fixed = tiny_cfg()
         cfg_regen = tiny_cfg()
         cfg_regen.occlusion.regenerate_per_epoch = True
-        p_fixed, h_fixed = train_model(cfg_fixed)
-        p_regen, h_regen = train_model(cfg_regen)
+        [(p_fixed, h_fixed)] = train_model([cfg_fixed])
+        [(p_regen, h_regen)] = train_model([cfg_regen])
         assert len(h_fixed) == len(h_regen) == 20
         assert any(
             not np.array_equal(a, b)
@@ -214,22 +214,115 @@ class TestSharedPreparation:
         run(cfg, tmp_path / "once")
         assert len(calls) == 1
         # reference: every model prepares data from its own config, and is
-        # trained and evaluated on it
+        # trained alone and evaluated on it
         train_model, evaluate_model = pipeline.train_model, pipeline.evaluate_model
         own = []
 
-        def train_on_own_data(sub, data):
-            own.append(pipeline.prepare_experiment(sub))
-            return train_model(sub, own[-1])
+        def train_on_own_data(group, data):
+            trained = []
+            for sub in group:
+                own.append(pipeline.prepare_experiment(sub))
+                trained += train_model([sub], own[-1])
+            return trained
+
+        def evaluate_on_own_data(cfg, group, data, pixels):
+            return evaluate_model(cfg, group, own[-1])
 
         monkeypatch.setattr(pipeline, "train_model", train_on_own_data)
-        monkeypatch.setattr(
-            pipeline, "evaluate_model", lambda sub, params, data: evaluate_model(sub, params, own[-1])
-        )
+        monkeypatch.setattr(pipeline, "evaluate_model", evaluate_on_own_data)
         run(cfg, tmp_path / "each")
         assert len(calls) == 1 + 1 + models  # the run's own, then one per model
         once = (tmp_path / "once" / table).read_bytes()
         assert once == (tmp_path / "each" / table).read_bytes()
+
+
+class TestLockstepGrid:
+    """Variants that differ only in effective alpha train as one group on
+    one batch stream, and the grid's models share one preprocessed test set."""
+
+    def test_work_is_done_once_per_group_and_grid(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        cfg.occlusion.regenerate_per_epoch = True
+        cfg.train.iterations = 6  # combined set of 16, batch 8: three epochs of 2
+        calls = {"train": [], "build_occlusion_set": [], "preprocess_images": []}
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def wrapped(*args):
+                calls[name].append(args)
+                return real(*args)
+
+            monkeypatch.setattr(pipeline, name, wrapped)
+
+        for name in calls:
+            spy(name)
+        os_seed = derive_seed(cfg.run.seed, TAG_OS)
+        built = [derive_seed(cfg.run.seed, TAG_PROBE), os_seed]
+        built += [derive_seed(os_seed, e) for e in (1, 2)]
+        pipeline.run_ablation(cfg, tmp_path / "report")
+        # [baseline, obc_only], then [os_only, full]
+        assert [[c.alpha for c in a[1]] for a in calls["train"]] == [[1.0, 0.8], [1.0, 0.8]]
+        assert [a[2] for a in calls["build_occlusion_set"]] == built
+        assert len(calls["preprocess_images"]) == 1
+        for name in calls:
+            calls[name].clear()
+        pipeline.run_alpha_sweep(cfg, [0.9, 0.3, 0.6], tmp_path / "sweep")
+        assert [[c.alpha for c in a[1]] for a in calls["train"]] == [[0.3, 0.6, 0.9]]
+        assert [a[2] for a in calls["build_occlusion_set"]] == built
+        assert len(calls["preprocess_images"]) == 1
+
+    def test_a_group_may_differ_only_in_alpha_and_use_obc(self):
+        with pytest.raises(ValueError, match="differ in more than alpha and use_obc"):
+            train_model([tiny_cfg(use_os=True), tiny_cfg(use_os=False)])
+
+    def test_grid_raises_the_failure_the_serial_loop_meets_first(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # obc_only, a later variant in the first group, fails at iteration 2;
+        # os_only, an earlier variant in the second group, fails at iteration
+        # 5. A variant-by-variant loop trains os_only first, so its failure
+        # is the one raised, and nothing is written.
+        import occreid.model as model
+        from occreid.cli import main
+        from occreid.config import render_config
+        from occreid.errors import NonFiniteGradient
+
+        cfg = tiny_cfg()
+        cfg.train.iterations = 8
+        path = tmp_path / "cfg.ini"
+        path.write_text(render_config(cfg), encoding="utf-8")
+        real_train, real_step = pipeline.train, model.sgd_step
+        groups, steps = [], {}
+
+        def spy_train(samples, cfgs, seed, occlusions=None):
+            groups.append([c.alpha for c in cfgs])
+            return real_train(samples, cfgs, seed, occlusions)
+
+        def failing_step(params, grads, lr):
+            # (group, OBC loss on): the OBC head has a gradient only in
+            # obc_only and full
+            member = (len(groups) - 1, bool(np.any(grads["obc.w"])))
+            steps[member] = steps.get(member, 0) + 1
+            if member == (0, True) and steps[member] == 3:
+                raise NonFiniteGradient("obc_only blew up")
+            if member == (1, False) and steps[member] == 6:
+                raise NonFiniteGradient("os_only blew up")
+            return real_step(params, grads, lr)
+
+        monkeypatch.setattr(pipeline, "train", spy_train)
+        monkeypatch.setattr(model, "sgd_step", failing_step)
+        with pytest.raises(NonFiniteGradient, match=r"^iteration 5: os_only blew up$"):
+            pipeline.run_ablation(cfg, tmp_path / "direct")
+        assert groups == [[1.0, 0.8], [1.0, 0.8]]
+        assert steps[0, True] == 3 and steps[0, False] == 8  # baseline carried on
+        groups.clear()
+        steps.clear()
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: iteration 5: os_only blew up" in err and "Traceback" not in err
+        assert not (tmp_path / "direct").exists() and not out.exists()
 
 
 class TestEvalManifests:
@@ -260,7 +353,7 @@ class TestEvalManifests:
         cfg.dataset.per_identity = 6
         data = prepare_experiment(cfg)
         assert len(data.test_samples) > FORWARD_CHUNK  # maps cross a chunk boundary
-        params, _ = train_model(cfg, data)
+        [(params, _)] = train_model([cfg], data)
         ckpt = tmp_path / "c.bin"
         save_checkpoint(params, ckpt)
         run_saliency(cfg, ckpt, tmp_path / "out")
@@ -311,7 +404,7 @@ class TestArrayPathMatchesImageReference:
 
         cfg = self.scanned_cfg(tmp_path / "data")
         data = prepare_experiment(cfg)
-        params, _ = train_model(cfg, data)
+        [(params, _)] = train_model([cfg], data)
         ckpt = tmp_path / "c.bin"
         save_checkpoint(params, ckpt)
         params = load_checkpoint(ckpt)
@@ -321,7 +414,7 @@ class TestArrayPathMatchesImageReference:
         feats = extract_features(params, prepped)
         seed = derive_seed(cfg.run.seed, TAG_EVAL)
         want = evaluate(feats, data.test_samples, (1,), cfg.eval.trials, seed)
-        assert evaluate_model(cfg, params, data)[1] == want[1]
+        assert evaluate_model(cfg, [params], data)[0][1] == want[1]
 
         run_saliency(cfg, ckpt, tmp_path / "out")
         rows = (tmp_path / "out" / "precision_model.tsv").read_text().splitlines()
@@ -357,7 +450,7 @@ class TestMaskMaxval:
         cfg = tiny_cfg()
         cfg.dataset.root = str(root)
         ckpt = tmp_path / "c.bin"
-        save_checkpoint(train_model(cfg)[0], ckpt)
+        save_checkpoint(train_model([cfg])[0][0], ckpt)
         tables = []
         for maxval in (255, 1):
             header = b"P5\n16 24\n%d\n" % maxval
@@ -373,7 +466,7 @@ class TestSaliencyComparison:
     def test_two_checkpoint_comparison_table(self, tmp_path):
         cfg = tiny_cfg()
         data = prepare_experiment(cfg)
-        params, _ = train_model(cfg, data)
+        [(params, _)] = train_model([cfg], data)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(params, a)
         save_checkpoint(params, b)
@@ -388,14 +481,14 @@ class TestSaliencyComparison:
     def test_checkpoint_round_trip_preserves_eval(self, tmp_path):
         cfg = tiny_cfg()
         data = prepare_experiment(cfg)
-        params, _ = train_model(cfg, data)
+        [(params, _)] = train_model([cfg], data)
         path = tmp_path / "c.bin"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         from occreid.pipeline import evaluate_model
 
-        a = evaluate_model(cfg, loaded, data)
-        b = evaluate_model(cfg, loaded, data)
+        [a] = evaluate_model(cfg, [loaded], data)
+        [b] = evaluate_model(cfg, [loaded], data)
         assert a[1] == b[1]
 
 
