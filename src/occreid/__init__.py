@@ -15,6 +15,7 @@ from .dataset import (
     generate_synthetic_dataset,
     make_probe_gallery,
     scan_dataset,
+    scan_identities,
     split_identities,
 )
 from .evaluate import EvalReport, evaluate

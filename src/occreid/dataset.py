@@ -9,6 +9,7 @@ the saliency metric and are skipped when scanning samples.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -64,47 +65,70 @@ _BRANCHES = (("occluded", Occlusion.REAL), ("whole", Occlusion.FULL_BODY))
 _EXTENSIONS = (".ppm", ".pgm")
 
 
-def scan_dataset(root) -> list[PersonSample]:
-    """One sample per image file under occluded/ and whole/.
+def _list_tree(root: Path) -> list:
+    """(sample id, identity, branch) of every image file under both
+    branches, sorted by sample id, from directory listings alone.
 
     Identity labels are parsed from directory names of ASCII digits
-    (zero-padding allowed, one directory per identity and branch); the
-    branch determines the occlusion flag. The returned list is sorted
-    lexicographically by sample id (the path relative to root), so
-    re-scanning an unchanged tree yields an identical list.
+    (zero-padding allowed, one directory per identity and branch); a
+    missing branch or any other directory name is refused here, over the
+    whole tree, whatever a caller goes on to decode.
     """
-    root = Path(root)
     for branch, _ in _BRANCHES:
         if not (root / branch).is_dir():
             raise MissingBranch(f"{root} has no '{branch}/' branch")
-    samples = []
-    for branch, flag in _BRANCHES:
+    entries = []
+    for branch, _ in _BRANCHES:
         dirs = {}  # identity -> its directory in this branch
-        for ident_dir in sorted((root / branch).iterdir()):
-            if not ident_dir.is_dir():
+        for entry in sorted(os.scandir(root / branch), key=lambda e: e.name):
+            if not entry.is_dir():
                 continue
+            ident_dir = root / branch / entry.name
             # int() would also take '1_0', '+3', ' 7 ' and non-ASCII digits
-            if not (ident_dir.name.isascii() and ident_dir.name.isdigit()):
+            if not (entry.name.isascii() and entry.name.isdigit()):
                 raise UnparsableIdentity(f"{ident_dir}: directory name is not ASCII digits")
-            identity = int(ident_dir.name)
+            identity = int(entry.name)
             if identity in dirs:  # '1' beside '001' would merge two people
                 raise UnparsableIdentity(f"{dirs[identity]} and {ident_dir} name one identity")
             dirs[identity] = ident_dir
-            for f in sorted(ident_dir.iterdir()):
-                if f.suffix not in _EXTENSIONS or f.name.endswith(".mask.pgm"):
-                    continue
-                rel = f.relative_to(root).as_posix()
-                samples.append(PersonSample(rel, load_image(f), identity, flag))
-    samples.sort(key=lambda s: s.id)
-    return samples
+            for name in sorted(os.listdir(ident_dir)):
+                # a name that is only '.ppm' is a hidden file with no suffix
+                if name.endswith(_EXTENSIONS) and len(name) > 4 and not name.endswith(".mask.pgm"):
+                    entries.append((f"{branch}/{entry.name}/{name}", identity, branch))
+    entries.sort()
+    return entries
 
 
-def split_identities(samples, fraction: float, rng: SplitMix64) -> Split:
-    """Identity-disjoint split with round(M * fraction) train identities,
-    rounding halves up, chosen uniformly without replacement."""
+def scan_identities(root) -> list[int]:
+    """The identity labels of scan_dataset(root), ascending: each identity
+    directory holding an image file in either branch. Nothing is decoded."""
+    return sorted({identity for _, identity, _ in _list_tree(Path(root))})
+
+
+def scan_dataset(root, identities=None, branches=("occluded", "whole")) -> list[PersonSample]:
+    """One sample per image file under occluded/ and whole/.
+
+    The branch determines the occlusion flag. Only the images of the given
+    `identities` (all when None) in the given `branches` are decoded; the
+    directory names are checked over the whole tree. The returned list is
+    sorted lexicographically by sample id (the path relative to root), so
+    re-scanning an unchanged tree yields an identical list.
+    """
+    root, flags = Path(root), dict(_BRANCHES)
+    return [
+        PersonSample(rel, load_image(root / rel), identity, flags[branch])
+        for rel, identity, branch in _list_tree(root)
+        if branch in branches and (identities is None or identity in identities)
+    ]
+
+
+def split_identities(identities, fraction: float, rng: SplitMix64) -> Split:
+    """Identity-disjoint split of the M distinct identity labels with
+    round(M * fraction) train identities, rounding halves up, chosen
+    uniformly without replacement."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    identities = sorted({s.identity for s in samples})
+    identities = sorted(set(identities))
     m = len(identities)
     if m < 2:
         raise TooFewIdentities(f"need at least 2 identities, found {m}")
@@ -228,22 +252,31 @@ def _render_person(width, height, torso_rgb, legs_rgb, geo: SplitMix64, noise) -
 
 
 def generate_synthetic_dataset(
-    num_identities: int, per_identity: int, width: int, height: int, rng: SplitMix64
+    num_identities: int, per_identity: int, width: int, height: int, rng: SplitMix64,
+    identities=None,
 ) -> list[PersonSample]:
     """Synthetic full-body persons: identity-specific torso and leg colours
     on noise backgrounds with pose jitter, plus coloured clutter in the top
     band (the strip occlusion patches are cropped from).
 
     All samples are flagged FULL_BODY; occluded counterparts come from the
-    occlusion simulator. Deterministic given the generator's seed.
+    occlusion simulator. Identities are labelled 1..num_identities, and
+    only the given `identities` (all when None) are rendered, in ascending
+    order. Each identity draws from its own streams of the generator's
+    seed, so its pixels do not depend on which others are rendered.
     """
     if num_identities < 2 or per_identity < 2:
         raise ValueError("need at least 2 identities with 2 images each")
     if width < 3:  # a clutter piece can be 3 pixels wide
         raise ValueError(f"synthetic images need a width of 3 or more, got {width}")
+    labels = range(1, num_identities + 1)
+    if identities is not None:
+        if not set(identities) <= set(labels):
+            raise ValueError(f"identities must lie in 1..{num_identities}")
+        labels = sorted(set(identities))
     samples = []
-    for i in range(num_identities):
-        id_rng = rng.spawn(i)
+    for label in labels:
+        id_rng = rng.spawn(label - 1)
         torso_dominant, torso = _saturated_color(id_rng)
         _, legs = _saturated_color(id_rng, exclude=torso_dominant)
         for j in range(per_identity):
@@ -252,6 +285,6 @@ def generate_synthetic_dataset(
             noise = np.random.Generator(np.random.PCG64(derive_seed(s_seed, 0)))
             img = _render_person(width, height, torso, legs, geo, noise)
             samples.append(
-                PersonSample(f"synth_{i + 1:03d}_{j:02d}", img, i + 1, Occlusion.FULL_BODY)
+                PersonSample(f"synth_{label:03d}_{j:02d}", img, label, Occlusion.FULL_BODY)
             )
     return samples

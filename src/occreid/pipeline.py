@@ -8,6 +8,11 @@ one runner: one preparation, one shot check, the variants trained in
 lockstep groups that see the same batches, every model evaluated on one
 preprocessing of the test set, and nothing written before the last is
 evaluated.
+The identity split is made from identity labels before any image exists,
+and each command renders or decodes only the identities and branches it
+reads: `train` the train identities' full-body images, `eval` and
+`saliency` the test identities, `simulate` every full-body image, and
+the grid and the sweep both sides, before any training.
 Every run directory receives the resolved config and all derived seeds,
 and reruns with the same config produce byte-identical artifacts.
 
@@ -20,6 +25,7 @@ the training-time simulator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from pathlib import Path
 
@@ -32,6 +38,7 @@ from .dataset import (
     gallery_pool,
     generate_synthetic_dataset,
     scan_dataset,
+    scan_identities,
     split_identities,
 )
 from .errors import InfeasibleGeometry, UnsupportedFormat
@@ -66,19 +73,13 @@ _REGIMES = (
 )
 
 
-@dataclasses.dataclass
-class ExperimentData:
-    split: object
-    train_full: list
-    test_samples: list
-
-
 def _check_scanned_fits(cfg: ExperimentConfig, samples: list) -> None:
     """The occlusion fit checks load_config runs on synthetic images, run on
-    each distinct full-body size of a scanned dataset for both simulator
-    configs. A band whose smallest target does not fit is a config error
-    (ValueError); a patch too large for an image's background band is a
-    data error (InfeasibleGeometry). Both name the first image of the size."""
+    each distinct full-body size among the scanned samples a command reads,
+    for both simulator configs. A band whose smallest target does not fit
+    is a config error (ValueError); a patch too large for an image's
+    background band is a data error (InfeasibleGeometry). Both name the
+    first image of the size."""
     sizes = {}
     for s in samples:
         if s.occlusion is Occlusion.FULL_BODY:
@@ -97,41 +98,58 @@ def _check_scanned_fits(cfg: ExperimentConfig, samples: list) -> None:
                 raise InfeasibleGeometry(f"sample {sample_id}: {name}{e}") from e
 
 
-def load_samples(cfg: ExperimentConfig) -> list:
+def _load_samples(cfg: ExperimentConfig, identities=None, branches=("occluded", "whole")) -> list:
+    """The samples of `identities` (all when None) rendered, or decoded
+    from `branches` of a scanned dataset and size-checked."""
     ds = cfg.dataset
     if ds.root:
-        samples = scan_dataset(ds.root)
+        samples = scan_dataset(ds.root, identities, branches)
         _check_scanned_fits(cfg, samples)
         return samples
     rng = SplitMix64(derive_seed(cfg.run.seed, TAG_DATA))
     return generate_synthetic_dataset(
-        ds.identities, ds.per_identity, ds.image_width, ds.image_height, rng
+        ds.identities, ds.per_identity, ds.image_width, ds.image_height, rng, identities
     )
+
+
+class ExperimentData:
+    """The identity split of an experiment, and each side's samples, built
+    on first access and kept: `train_full`, the train identities'
+    full-body images, and `test_samples`, the test identities' images in
+    both branches plus, when none of them is occluded, the probes."""
+
+    def __init__(self, cfg: ExperimentConfig, split):
+        self.cfg, self.split = cfg, split
+
+    @functools.cached_property
+    def train_full(self) -> list:
+        return _load_samples(self.cfg, self.split.train_identities, ("whole",))
+
+    @functools.cached_property
+    def test_samples(self) -> list:
+        # the synthetic generator emits full-body images only; artificial
+        # probes then come from the held-out probe stream, so evaluation
+        # never sees occlusions from the training-time simulator stream
+        samples = _load_samples(self.cfg, self.split.test_identities)
+        if not any(s.occlusion is not Occlusion.FULL_BODY for s in samples):
+            seed = derive_seed(self.cfg.run.seed, TAG_PROBE)
+            probes, _ = build_occlusion_set(samples, self.cfg.occlusion.probe_config(), seed)
+            samples = samples + probes
+        return samples
 
 
 def prepare_experiment(cfg: ExperimentConfig) -> ExperimentData:
-    """Load samples, split identities, and furnish occluded test probes.
+    """Split the identities of cfg's data, from their labels alone.
 
-    When the test side has no occluded images (the synthetic generator
-    emits full-body only), artificial probes are built from the test
-    full-body images with the held-out probe stream, so evaluation never
-    sees occlusions from the training-time simulator stream.
+    The labels are 1..identities for synthetic data, and for a scanned
+    dataset the identity directories that hold an image, read from the
+    directory listing. No image is rendered or decoded here: each side
+    is, with its size check, when a command first reads it.
     """
-    samples = load_samples(cfg)
-    split = split_identities(
-        samples, cfg.dataset.split_fraction, SplitMix64(derive_seed(cfg.run.seed, TAG_SPLIT))
-    )
-    train_full = [
-        s
-        for s in samples
-        if s.identity in split.train_identities and s.occlusion is Occlusion.FULL_BODY
-    ]
-    test_samples = [s for s in samples if s.identity in split.test_identities]
-    if not any(s.occlusion is not Occlusion.FULL_BODY for s in test_samples):
-        seed = derive_seed(cfg.run.seed, TAG_PROBE)
-        probes, _ = build_occlusion_set(test_samples, cfg.occlusion.probe_config(), seed)
-        test_samples = test_samples + probes
-    return ExperimentData(split, train_full, test_samples)
+    ds = cfg.dataset
+    labels = scan_identities(ds.root) if ds.root else range(1, ds.identities + 1)
+    rng = SplitMix64(derive_seed(cfg.run.seed, TAG_SPLIT))
+    return ExperimentData(cfg, split_identities(labels, ds.split_fraction, rng))
 
 
 def _seed_rows(cfg: ExperimentConfig) -> list:
@@ -175,7 +193,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     """Apply the simulator to every full-body sample; write images and a
     manifest row per sample (source, label, rects, ratio, seed)."""
     out_dir = Path(out_dir)
-    samples = [s for s in load_samples(cfg) if s.occlusion is Occlusion.FULL_BODY]
+    samples = _load_samples(cfg, branches=("whole",))
     os_seed = derive_seed(cfg.run.seed, TAG_OS)
     occluded, records = build_occlusion_set(samples, cfg.occlusion, os_seed)
     _write_provenance(cfg, out_dir)

@@ -774,7 +774,14 @@ class TestExitCodes:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert "config error: [occlusion] aspect_hi 1e+300" in err and "16x24 image" in err
-        assert str(sorted(root.glob("whole/*/*.ppm"))[0]) in err and "Traceback" not in err
+        # each command checks the images it reads, and names the first
+        from occreid.pipeline import prepare_experiment
+
+        split = prepare_experiment(load_config(cfg)).split
+        read = {"simulate": split.train_identities | split.test_identities,
+                "train": split.train_identities, "eval": split.test_identities}[command]
+        first = min(p for p in root.glob("whole/*/*.ppm") if int(p.parent.name) in read)
+        assert str(first) in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "sweep-alpha"])
@@ -891,6 +898,90 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config_path), "--out", str(flag_out)]) == 0
         assert (flag_out / "simulate" / "manifest.tsv").exists()
         assert not (tmp_path / "env_out").exists()
+
+
+
+def _two_branch_tree(root):
+    """A 4-identity scanned dataset: every identity in both branches."""
+    for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(8)):
+        for branch in ("whole", "occluded"):
+            p = root / branch / f"{s.identity:03d}"
+            p.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, p / f"{s.id}.ppm")
+
+
+class TestDecodedSides:
+    """A scanned image is decoded only by the commands that read it: train
+    the train identities' whole/ images, eval and saliency the test
+    identities' images, simulate every whole/ image, report and
+    sweep-alpha both sides. The directory names are checked by all."""
+
+    @pytest.fixture()
+    def scanned(self, tmp_path):
+        from occreid.model import ArchSpec, ConvSpec, init_params, save_checkpoint
+        from occreid.pipeline import prepare_experiment
+
+        root = tmp_path / "data"
+        _two_branch_tree(root)
+        cfg = _scanned_ini(root, tmp_path / "cfg.ini")
+        ckpt = tmp_path / "c.bin"
+        arch = ArchSpec(input_side=12, resize_side=14, in_channels=3, convs=(ConvSpec(4, 3, 2),))
+        save_checkpoint(init_params(arch, 2, 0), ckpt)
+        split = prepare_experiment(load_config(cfg)).split
+        return root, cfg, ckpt, split
+
+    @staticmethod
+    def argv(command, cfg, ckpt, out):
+        extra = {"eval": ["--checkpoint", str(ckpt)], "saliency": ["--checkpoint", str(ckpt)],
+                 "sweep-alpha": ["--alphas", "0.5"]}
+        return [command, "--config", str(cfg), "--out", str(out), *extra.get(command, [])]
+
+    def test_damaged_train_image_fails_the_commands_that_read_it(self, tmp_path, scanned, capsys):
+        root, cfg, ckpt, split = scanned
+        assert main(self.argv("eval", cfg, ckpt, tmp_path / "clean")) == 0
+        victim = sorted(root.glob(f"whole/{min(split.train_identities):03d}/*.ppm"))[0]
+        victim.write_bytes(victim.read_bytes()[:-5])
+        capsys.readouterr()
+        for command in ("train", "report"):
+            out = tmp_path / command
+            assert main(self.argv(command, cfg, ckpt, out)) == 2
+            err = capsys.readouterr().err
+            assert "data error" in err and str(victim) in err and "Traceback" not in err
+            assert not out.exists()
+        # eval reads only the test identities: the damage is not its input
+        assert main(self.argv("eval", cfg, ckpt, tmp_path / "damaged")) == 0
+        assert tree_hash(tmp_path / "damaged") == tree_hash(tmp_path / "clean")
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_damaged_occluded_image_is_not_read_by_whole_only_commands(
+        self, tmp_path, scanned, command
+    ):
+        root, cfg, ckpt, _ = scanned
+        assert main(self.argv(command, cfg, ckpt, tmp_path / "clean")) == 0
+        for victim in root.glob("occluded/*/*.ppm"):
+            victim.write_bytes(b"P6\n16 24\n255\n")
+        assert main(self.argv(command, cfg, ckpt, tmp_path / "damaged")) == 0
+        assert tree_hash(tmp_path / "damaged") == tree_hash(tmp_path / "clean")
+
+    @pytest.mark.parametrize("fault", ["missing branch", "bad name", "one identity twice"])
+    @pytest.mark.parametrize(
+        "command", ["train", "eval", "simulate", "saliency", "report", "sweep-alpha"]
+    )
+    def test_every_command_checks_the_whole_tree_names(self, tmp_path, scanned, capsys, command, fault):
+        # the faults sit in occluded/, which train and simulate never decode
+        root, cfg, ckpt, _ = scanned
+        first = sorted((root / "occluded").iterdir())[0]
+        if fault == "missing branch":
+            shutil.rmtree(root / "occluded")
+        elif fault == "bad name":
+            (root / "occluded" / "1_0").mkdir()
+        else:
+            shutil.copytree(first, root / "occluded" / str(int(first.name)))
+        out = tmp_path / "out"
+        assert main(self.argv(command, cfg, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 def _corruptions(valid: bytes, header: list, field):

@@ -128,48 +128,43 @@ class TestScan:
 
 
 class TestSplit:
-    @staticmethod
-    def fake_samples(m, per=2):
-        samples = generate_synthetic_dataset(m, per, 8, 16, SplitMix64(0))
-        return samples
-
     def test_even_half_split(self):
-        samples = self.fake_samples(200, per=2)
-        split = split_identities(samples, 0.5, SplitMix64(1))
+        split = split_identities(range(1, 201), 0.5, SplitMix64(1))
         assert len(split.train_identities) == len(split.test_identities) == 100
 
     def test_odd_rounds_half_up(self):
-        samples = self.fake_samples(3)
-        split = split_identities(samples, 0.5, SplitMix64(1))
+        split = split_identities(range(1, 4), 0.5, SplitMix64(1))
         assert len(split.train_identities) == 2
         assert len(split.test_identities) == 1
 
     def test_same_seed_same_split(self):
-        samples = self.fake_samples(10)
-        a = split_identities(samples, 0.5, SplitMix64(9))
-        b = split_identities(samples, 0.5, SplitMix64(9))
+        a = split_identities(range(1, 11), 0.5, SplitMix64(9))
+        b = split_identities(range(1, 11), 0.5, SplitMix64(9))
         assert a == b
 
     def test_disjoint_and_exhaustive_for_any_seed(self):
-        samples = self.fake_samples(7)
-        all_ids = {s.identity for s in samples}
+        all_ids = set(range(1, 8))
         for seed in range(30):
-            split = split_identities(samples, 0.4, SplitMix64(seed))
+            split = split_identities(all_ids, 0.4, SplitMix64(seed))
             assert not split.train_identities & split.test_identities
             assert split.train_identities | split.test_identities == all_ids
 
+    def test_repeated_labels_count_once(self):
+        # one label per sample splits like the distinct labels, in any order
+        labels = [3, 1, 3, 2, 1, 4, 4, 2]
+        assert split_identities(labels, 0.5, SplitMix64(5)) == split_identities(
+            range(1, 5), 0.5, SplitMix64(5)
+        )
+
     def test_too_few_identities(self):
-        samples = self.fake_samples(2)
-        only_one = [s for s in samples if s.identity == 1]
         with pytest.raises(TooFewIdentities):
-            split_identities(only_one, 0.5, SplitMix64(0))
+            split_identities([1, 1], 0.5, SplitMix64(0))
 
     def test_fraction_validation(self):
-        samples = self.fake_samples(4)
         with pytest.raises(ValueError):
-            split_identities(samples, 0.0, SplitMix64(0))
+            split_identities(range(1, 5), 0.0, SplitMix64(0))
         with pytest.raises(ValueError):
-            split_identities(samples, 1.0, SplitMix64(0))
+            split_identities(range(1, 5), 1.0, SplitMix64(0))
 
 
 class TestProbeGallery:

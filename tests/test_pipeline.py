@@ -6,8 +6,16 @@ import pytest
 
 import occreid.pipeline as pipeline
 from occreid.config import ExperimentConfig
-from occreid.dataset import Occlusion
+from occreid.dataset import (
+    Occlusion,
+    generate_synthetic_dataset,
+    scan_dataset,
+    scan_identities,
+    split_identities,
+)
+from occreid.imaging import Image, save_image
 from occreid.model import load_checkpoint, save_checkpoint, train
+from occreid.occsim import build_occlusion_set
 from occreid.pipeline import (
     TAG_OS,
     TAG_PROBE,
@@ -15,7 +23,7 @@ from occreid.pipeline import (
     run_saliency,
     train_model,
 )
-from occreid.rng import derive_seed
+from occreid.rng import SplitMix64, derive_seed
 
 
 def tiny_cfg(**run_overrides):
@@ -61,10 +69,6 @@ class TestPrepareExperiment:
         assert probe_seed != os_seed
 
     def test_no_probe_synthesis_when_real_occlusions_exist(self, tmp_path):
-        from occreid.dataset import generate_synthetic_dataset
-        from occreid.imaging import save_image
-        from occreid.rng import SplitMix64
-
         samples = generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(3))
         for s in samples:
             for branch in ("whole", "occluded"):
@@ -76,6 +80,188 @@ class TestPrepareExperiment:
         data = prepare_experiment(cfg)
         assert not any(s.occlusion is Occlusion.ARTIFICIAL for s in data.test_samples)
         assert any(s.occlusion is Occlusion.REAL for s in data.test_samples)
+
+
+
+def eager_derivation(cfg):
+    """Every sample rendered or scanned, split by their labels, each side
+    filtered from them, then the probes: the derivation the lazy sides of
+    prepare_experiment must reproduce."""
+    ds, seed = cfg.dataset, cfg.run.seed
+    if ds.root:
+        samples = scan_dataset(ds.root)
+    else:
+        rng = SplitMix64(derive_seed(seed, pipeline.TAG_DATA))
+        samples = generate_synthetic_dataset(
+            ds.identities, ds.per_identity, ds.image_width, ds.image_height, rng
+        )
+    split = split_identities(
+        [s.identity for s in samples], ds.split_fraction,
+        SplitMix64(derive_seed(seed, pipeline.TAG_SPLIT)),
+    )
+    train_full = [
+        s
+        for s in samples
+        if s.identity in split.train_identities and s.occlusion is Occlusion.FULL_BODY
+    ]
+    test_samples = [s for s in samples if s.identity in split.test_identities]
+    if not any(s.occlusion is not Occlusion.FULL_BODY for s in test_samples):
+        probes, _ = build_occlusion_set(
+            test_samples, cfg.occlusion.probe_config(), derive_seed(seed, TAG_PROBE)
+        )
+        test_samples = test_samples + probes
+    return split, train_full, test_samples
+
+
+def odd_tree(root):
+    """A scanned dataset with an identity in occluded/ only (7), an identity
+    directory holding only masks (8), non-image entries, and two image
+    sizes (identity 3 is 20x32, the rest 16x24)."""
+    small = generate_synthetic_dataset(7, 4, 16, 24, SplitMix64(3))
+    large = generate_synthetic_dataset(7, 4, 20, 32, SplitMix64(3))
+    for s, big in zip(small, large):
+        img = big.image if s.identity == 3 else s.image
+        branches = ["occluded"] if s.identity == 7 else ["whole"]
+        if s.identity == 2 and s.id.endswith(("00", "01")):
+            branches.append("occluded")
+        for branch in branches:
+            d = root / branch / f"{s.identity:03d}"
+            d.mkdir(parents=True, exist_ok=True)
+            save_image(img, d / f"{s.id}.ppm")
+    mask = Image(np.full((24, 16), 255, np.uint8))
+    for branch in ("whole", "occluded"):
+        d = root / branch / "008"
+        d.mkdir(parents=True)
+        save_image(mask, d / "a.mask.pgm")
+        (root / branch / "notes.txt").write_text("not an identity")
+    (root / "whole" / "001" / "readme.txt").write_text("not an image")
+    (root / "whole" / "002" / "00.ppm.bak").write_bytes(b"not an image")
+
+
+class TestLazySides:
+    """The split from identity labels and the sides built on first access
+    equal the eager derivation in ids, identities, flags, pixels and order."""
+
+    @staticmethod
+    def rows(samples):
+        return [(s.id, s.identity, s.occlusion) for s in samples]
+
+    def assert_equal(self, cfg):
+        split, train_full, test_samples = eager_derivation(cfg)
+        data = prepare_experiment(cfg)
+        assert data.split == split
+        for lazy, eager in ((data.train_full, train_full), (data.test_samples, test_samples)):
+            assert self.rows(lazy) == self.rows(eager)
+            assert all(np.array_equal(a.image.pixels, b.image.pixels) for a, b in zip(lazy, eager))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synthetic(self, seed):
+        cfg = tiny_cfg(seed=seed)
+        cfg.dataset.identities = 7
+        self.assert_equal(cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scanned(self, tmp_path, seed):
+        odd_tree(tmp_path)
+        cfg = tiny_cfg(seed=seed)
+        cfg.dataset.root = str(tmp_path)
+        assert scan_identities(tmp_path) == list(range(1, 8))  # 8 holds only masks
+        self.assert_equal(cfg)
+
+
+
+def spy_renders(monkeypatch):
+    """A list that gets one entry per person the synthetic generator renders."""
+    import occreid.dataset as dataset
+
+    rendered, real = [], dataset._render_person
+    monkeypatch.setattr(
+        dataset, "_render_person", lambda *a: rendered.append(a[:2]) or real(*a)
+    )
+    return rendered
+
+
+def spy_decodes(monkeypatch):
+    """A list of every path imaging.load_image opens, through any binding."""
+    import sys
+
+    import occreid.imaging as imaging
+
+    opened, real = [], imaging.load_image
+
+    def spy(path):
+        opened.append(Path(path))
+        return real(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("occreid") and getattr(module, "load_image", None) is real:
+            monkeypatch.setattr(module, "load_image", spy)
+    return opened
+
+
+def masked_tree(root):
+    """4 identities of 4 whole/ and 2 occluded/ 16x24 images, each with a mask."""
+    mask = Image(np.full((24, 16), 255, np.uint8))
+    for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(3)):
+        for branch in ("whole", "occluded") if s.id.endswith(("00", "01")) else ("whole",):
+            d = root / branch / f"{s.identity:03d}"
+            d.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, d / f"{s.id}.ppm")
+            save_image(mask, d / f"{s.id}.mask.pgm")
+
+
+class TestEachCommandReadsItsSide:
+    """Each command renders or decodes only the identities and branches it
+    reads (tiny_cfg: 4 identities, 2 of them test identities)."""
+
+    def test_eval_renders_the_test_identities(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        [(params, _)] = train_model([cfg])
+        save_checkpoint(params, tmp_path / "c.bin")
+        rendered = spy_renders(monkeypatch)
+        pipeline.run_eval(cfg, tmp_path / "c.bin", tmp_path / "eval")
+        assert len(rendered) == 2 * cfg.dataset.per_identity
+
+    def test_train_renders_the_train_identities_and_no_probes(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        rendered = spy_renders(monkeypatch)
+        built, real = [], pipeline.build_occlusion_set
+        monkeypatch.setattr(
+            pipeline, "build_occlusion_set", lambda *a: built.append(a[0]) or real(*a)
+        )
+        pipeline.run_train(cfg, tmp_path / "train")
+        train_ids = prepare_experiment(cfg).split.train_identities
+        assert len(rendered) == 2 * cfg.dataset.per_identity
+        assert len(built) == 1  # the training set's occluded copies, no probe set
+        assert {s.identity for s in built[0]} == train_ids
+
+    def test_ablation_renders_every_identity_once(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        cfg.train.iterations = 2
+        rendered = spy_renders(monkeypatch)
+        pipeline.run_ablation(cfg, tmp_path / "report")
+        assert len(rendered) == 4 * cfg.dataset.per_identity
+
+    def test_simulate_decodes_whole_only(self, tmp_path, monkeypatch):
+        masked_tree(tmp_path / "data")
+        cfg = tiny_cfg()
+        cfg.dataset.root = str(tmp_path / "data")
+        opened = spy_decodes(monkeypatch)
+        pipeline.run_simulate(cfg, tmp_path / "sim")
+        assert opened == sorted((tmp_path / "data").glob("whole/*/*.ppm"))
+
+    def test_saliency_decodes_the_test_identities_and_their_masks(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        masked_tree(root)
+        cfg = tiny_cfg()
+        cfg.dataset.root = str(root)
+        [(params, _)] = train_model([cfg])
+        save_checkpoint(params, tmp_path / "c.bin")
+        opened = spy_decodes(monkeypatch)
+        run_saliency(cfg, tmp_path / "c.bin", tmp_path / "sal")
+        test_ids = prepare_experiment(cfg).split.test_identities
+        images = [p for p in sorted(root.glob("*/*/*.ppm")) if int(p.parent.name) in test_ids]
+        assert opened == images + [p.with_suffix(".mask.pgm") for p in images]
 
 
 class TestTrainModelSwitches:
@@ -165,12 +351,12 @@ class TestTrainModelSwitches:
         cfg.train.iterations = 6
         cfg.train.batch_size = 8  # combined set is 16 -> epoch length 2
         train_model([cfg])
-        # builds: synthetic eval probes, then one per epoch; epochs are
-        # ceil(2N / batch_size) iterations from the full-body count N, and
-        # later epochs derive fresh streams
-        assert len(calls) == 4
-        assert calls[1] == derive_seed(cfg.run.seed, TAG_OS)
-        assert len(set(calls)) == 4
+        # one build per epoch, and none for the probes, which training
+        # never reads; epochs are ceil(2N / batch_size) iterations from the
+        # full-body count N, and later epochs derive fresh streams
+        assert len(calls) == 3
+        assert calls[0] == derive_seed(cfg.run.seed, TAG_OS)
+        assert len(set(calls)) == 3
 
     def test_regeneration_changes_final_params(self):
         cfg_fixed = tiny_cfg()
