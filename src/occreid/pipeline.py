@@ -4,10 +4,10 @@ Binds the modules into reproducible runs: occlusion simulation over a
 sample set, training on the combined set, multi-shot evaluation, the
 ablation grid (occlusion simulator and occlusion-classification loss
 switched independently) and the alpha sweep. The grid and the sweep share
-one runner: one preparation, one shot check, the variants trained in
-lockstep groups that see the same batches, every model evaluated on one
-preprocessing of the test set, and nothing written before the last is
-evaluated.
+one runner: one preparation, one shot check, one train_model over every
+variant (variants that see the same batches train in lockstep), one
+evaluate_model over every model on one preprocessing of the test set, and
+nothing written before the last is evaluated.
 The identity split is made from identity labels before any image exists,
 and each command renders or decodes only the identities and branches it
 reads: `train` the train identities' full-body images, `eval` and
@@ -41,7 +41,7 @@ from .dataset import (
     scan_identities,
     split_identities,
 )
-from .errors import InfeasibleGeometry, UnsupportedFormat
+from .errors import InfeasibleGeometry, TooFewIdentities, UnsupportedFormat
 from .evaluate import EvalReport, evaluate
 from .fileio import write_atomic, write_lines
 from .imaging import Image, load_image, save_image
@@ -123,7 +123,11 @@ class ExperimentData:
 
     @functools.cached_property
     def train_full(self) -> list:
-        return _load_samples(self.cfg, self.split.train_identities, ("whole",))
+        samples = _load_samples(self.cfg, self.split.train_identities, ("whole",))
+        held, root = len({s.identity for s in samples}), self.cfg.dataset.root
+        if root and held < 2:  # a data fault here; a synthetic config's is a config error
+            raise TooFewIdentities(f"{root}: {held} train identities hold a whole/ image, need 2")
+        return samples
 
     @functools.cached_property
     def test_samples(self) -> list:
@@ -229,45 +233,50 @@ def _lockstep_key(cfg: ExperimentConfig) -> ExperimentConfig:
     return dataclasses.replace(cfg, train=train_cfg, run=dataclasses.replace(cfg.run, use_obc=True))
 
 
-def train_model(group: list, data: ExperimentData | None = None) -> list:
-    """Train a group of variants under their ablation switches in one
-    lockstep model.train; the variants may differ only in [train] alpha
-    and [run] use_obc, else ValueError.
+def train_model(variants: list, data: ExperimentData) -> list:
+    """Train each variant under its ablation switches on data's train side;
+    one (params, history rows) per variant, in order, each equal to the
+    variant trained alone.
 
-    use_os=False trains on the full-body set only; use_obc=False forces
-    alpha to 1 so the occlusion head receives no gradient. With
+    Variants that differ only in effective alpha see the same batches, so
+    they train as one lockstep model.train, groups in order of their first
+    variant. use_os=False trains on the full-body set only; use_obc=False
+    forces alpha to 1 so the occlusion head receives no gradient. With
     regenerate_per_epoch the occluded half is drawn afresh for each epoch
     from a stream derived per epoch. A configured alpha of 0 or 1 under
-    use_obc warns, once per such variant, before any work. Returns one
-    (params, history rows) per variant, or the exception that stopped its
-    training, as model.train does; each equals a one-element group.
+    use_obc warns, once per such variant, before any work. Once every
+    group has trained, the first failure in variant order is raised.
     """
-    cfg = group[0]
-    if any(_lockstep_key(sub) != _lockstep_key(cfg) for sub in group[1:]):
-        raise ValueError("variants trained together differ in more than alpha and use_obc")
-    for sub in group:
-        if sub.run.use_obc and sub.train.alpha in (0.0, 1.0):
+    for v in variants:
+        if v.run.use_obc and v.train.alpha in (0.0, 1.0):
             warnings.warn(
-                f"[train] alpha = {sub.train.alpha} disables one loss entirely; values in "
+                f"[train] alpha = {v.train.alpha} disables one loss entirely; values in "
                 "(0, 1) with alpha >= 0.5 are the intended operating range",
                 stacklevel=2,
             )
-    data = data or prepare_experiment(cfg)
-    seed = derive_seed(cfg.run.seed, TAG_TRAIN)
-    tcfgs = [s.train if s.run.use_obc else dataclasses.replace(s.train, alpha=1.0) for s in group]
-    if not cfg.run.use_os:
-        return train(data.train_full, tcfgs, seed)
-    if cfg.occlusion.regenerate_per_epoch:
-        return train(data.train_full, tcfgs, seed, lambda e: _build_occluded_set(cfg, data, e))
-    return train(data.train_full + _build_occluded_set(cfg, data), tcfgs, seed)
+    tcfgs = [v.train if v.run.use_obc else dataclasses.replace(v.train, alpha=1.0) for v in variants]
+    keys = [_lockstep_key(v) for v in variants]
+    firsts = [keys.index(key) for key in keys]
+    results = [None] * len(variants)
+    for first in sorted(set(firsts)):
+        group = [i for i, f in enumerate(firsts) if f == first]
+        cfg, samples, occlusions = variants[first], data.train_full, None
+        if cfg.run.use_os and cfg.occlusion.regenerate_per_epoch:
+            occlusions = functools.partial(_build_occluded_set, cfg, data)
+        elif cfg.run.use_os:
+            samples = samples + _build_occluded_set(cfg, data)
+        seed = derive_seed(cfg.run.seed, TAG_TRAIN)
+        for i, result in zip(group, train(samples, [tcfgs[i] for i in group], seed, occlusions)):
+            results[i] = result
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def run_train(cfg: ExperimentConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
-    [trained] = train_model([cfg])
-    if isinstance(trained, Exception):
-        raise trained
-    params, history = trained
+    [(params, history)] = train_model([cfg], prepare_experiment(cfg))
     _write_provenance(cfg, out_dir)
     ckpt = out_dir / "checkpoint.bin"
     save_checkpoint(params, ckpt)
@@ -289,16 +298,14 @@ def _write_report(report: EvalReport, path: Path) -> None:
     write_lines(path, lines)
 
 
-def evaluate_model(cfg: ExperimentConfig, group: list, data: ExperimentData, pixels=None) -> list:
-    """One {shot count: report} per params in group, in order; each model's
-    test features and their distances are computed once. pixels, the test
-    images as preprocess_images gives them, are made from the first
-    model's architecture when not given."""
+def evaluate_model(cfg: ExperimentConfig, params_list: list, data: ExperimentData) -> list:
+    """One {shot count: report} per params, in order, on data's test side,
+    preprocessed once for all of them; each model's test features and
+    their distances are computed once."""
     samples = data.test_samples
-    if pixels is None:
-        pixels = preprocess_images([s.image for s in samples], group[0].arch)
+    pixels = preprocess_images([s.image for s in samples], params_list[0].arch)
     ev, seed = cfg.eval, derive_seed(cfg.run.seed, TAG_EVAL)
-    feats = (extract_features(params, pixels) for params in group)
+    feats = (extract_features(params, pixels) for params in params_list)
     return [evaluate(f, samples, ev.shots, ev.trials, seed) for f in feats]
 
 
@@ -348,31 +355,17 @@ def _run_grid(cfg: ExperimentConfig, variants: list, out_dir: Path) -> dict:
     cfg's data, which switches and alpha never reach; keyed by label in
     variant order, then shot count.
 
-    Variants that differ only in effective alpha train as one lockstep
-    group, groups in order of their first variant, and every model is
-    evaluated on test pixels preprocessed once. A failure is raised as the
-    variant-by-variant loop would have met it first: the lowest-index
-    failure, once every variant before it has trained. A checkpoint stores
-    train's float32-exact params, so each result equals `train` plus
-    `eval` of its checkpoint."""
+    train_model trains every variant, then every model is evaluated, and
+    provenance is written after the last. A checkpoint stores train's
+    float32-exact params, so each result equals `train` plus `eval` of its
+    checkpoint."""
     data = prepare_experiment(cfg)
     # a throwaway draw at the largest shot count: too few images fail before training
     draw_gallery(gallery_pool(data.test_samples)[0], max(cfg.eval.shots), SplitMix64(0))
-    keys = [_lockstep_key(sub) for _, sub in variants]
-    firsts = [i for i, key in enumerate(keys) if key not in keys[:i]]
-    groups = [[j for j, key in enumerate(keys) if key == keys[i]] for i in firsts]
-    trained, reports, pixels = {}, {}, None
-    for group in groups:
-        trained.update(zip(group, train_model([variants[i][1] for i in group], data)))
-        failed = [i for i in sorted(trained) if isinstance(trained[i], Exception)]
-        if failed and all(i in trained for i in range(failed[0])):
-            raise trained[failed[0]]
-        if pixels is None:  # the first variant trained: the serial loop evaluated it here
-            pixels = preprocess_images([s.image for s in data.test_samples], cfg.train.arch)
-        done = [i for i in group if i not in failed]
-        reports.update(zip(done, evaluate_model(cfg, [trained[i][0] for i in done], data, pixels)))
+    trained = train_model([sub for _, sub in variants], data)
+    reports = evaluate_model(cfg, [params for params, _ in trained], data)
     _write_provenance(cfg, out_dir)
-    return {label: reports[i] for i, (label, _) in enumerate(variants)}
+    return {label: rep for (label, _), rep in zip(variants, reports)}
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir) -> dict:
@@ -433,8 +426,9 @@ def run_saliency(cfg: ExperimentConfig, checkpoint, out_dir, compare=None) -> di
     if compare is not None:
         checkpoints.append(("compare", load_checkpoint(compare)))
     samples = prepare_experiment(cfg).test_samples
-    root = cfg.dataset.root  # a scanned image may have a <name>.mask.pgm annotation beside it
-    paths = {i: (Path(root) / s.id).with_suffix(".mask.pgm") for i, s in enumerate(samples) if root}
+    root = cfg.dataset.root  # an image read from it may have a <name>.mask.pgm beside it
+    read = [(i, s) for i, s in enumerate(samples) if s.occlusion is not Occlusion.ARTIFICIAL]
+    paths = {i: (Path(root) / s.id).with_suffix(".mask.pgm") for i, s in read if root}
     masks = {i: _load_mask(p) for i, p in paths.items() if p.exists()}
     has_mask = np.isin(np.arange(len(samples)), list(masks))
     results = []  # every checkpoint runs before anything is written

@@ -952,6 +952,21 @@ class TestDecodedSides:
         assert main(self.argv("eval", cfg, ckpt, tmp_path / "damaged")) == 0
         assert tree_hash(tmp_path / "damaged") == tree_hash(tmp_path / "clean")
 
+    @pytest.mark.parametrize("held", [0, 1])
+    @pytest.mark.parametrize("command", ["train", "report", "sweep-alpha"])
+    def test_too_few_train_identities_with_a_whole_image_is_a_data_error(
+        self, tmp_path, scanned, capsys, command, held
+    ):
+        # the identities keep their occluded/ images, so the split is unchanged
+        root, cfg, ckpt, split = scanned
+        for ident in sorted(split.train_identities)[held:]:
+            shutil.rmtree(root / "whole" / f"{ident:03d}")
+        out = tmp_path / "out"
+        assert main(self.argv(command, cfg, ckpt, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {root}: {held} train identities hold a whole/ image, need 2\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_damaged_occluded_image_is_not_read_by_whole_only_commands(
         self, tmp_path, scanned, command
@@ -1142,3 +1157,100 @@ class TestConfigContract:
         assert code in (0, 1, 2), err
         assert (code == 1) == (not accepted), err  # a bad config fails at load, nowhere else
         assert "Traceback" not in err
+
+
+_TREE_SIZES = ((16, 24), (16, 24), (20, 32))  # (w, h), each inside the tiny config's band
+# at most one per tree, in one identity directory: each is a data error for
+# the commands that list or decode that directory
+_TREE_FAULTS = (None,) * 5 + ("two names", "grey image", "narrow image", "colour mask", "dir")
+
+
+@st.composite
+def _scanned_trees(draw):
+    """{relative path: file bytes, an Image, or None for a directory} of a
+    scanned tree: identity names with and without zero-padding, empty
+    identity directories, identities in one branch only, 0-4 images each
+    around the largest shot count of 2, two image sizes, masks of other
+    sizes or beside no image, and non-image entries; now and then one
+    fault: one identity under two names in a branch, a grey image among
+    colour ones, an image too narrow for the patch band, a colour mask, or
+    a directory named like an image. No size is a config error."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def image(w, h, c):
+        return Image(gen.integers(0, 256, (h, w, c), dtype=np.uint8))
+
+    tree = {"whole": None, "occluded": None}
+    if draw(st.booleans()):
+        tree[f"{draw(st.sampled_from(['whole', 'occluded']))}/notes.txt"] = b"not an identity"
+    dirs = []
+    for ident in range(1, draw(st.integers(2, 6)) + 1):
+        for branch in ("whole", "occluded"):
+            if draw(st.integers(0, 4)) == 0:
+                continue
+            d = f"{branch}/{ident:0{draw(st.sampled_from([1, 3]))}d}"
+            tree[d] = None
+            dirs.append((d, ident))
+            for j in range(draw(st.integers(0, 4))):
+                w, h = draw(st.sampled_from(_TREE_SIZES))
+                tree[f"{d}/{j}.ppm"] = image(w, h, 3)
+                mask = draw(st.sampled_from([None, None, (w, h), *_TREE_SIZES]))
+                if mask:
+                    tree[f"{d}/{j}.mask.pgm"] = image(*mask, 1)
+            extra = draw(st.sampled_from([None, None, "lone.mask.pgm", "readme.txt", "0.ppm.bak"]))
+            if extra:
+                tree[f"{d}/{extra}"] = image(16, 24, 1) if extra.endswith(".pgm") else b"text"
+    fault = draw(st.sampled_from(_TREE_FAULTS))
+    if fault and dirs:
+        d, ident = draw(st.sampled_from(dirs))
+        if fault == "two names":
+            branch, name = d.split("/")
+            tree[f"{branch}/{f'{ident:03d}' if name == str(ident) else ident}"] = None
+        elif fault == "grey image":
+            tree[f"{d}/grey.pgm"] = image(16, 24, 1)
+        elif fault == "narrow image":
+            tree[f"{d}/narrow.ppm"] = image(12, 18, 3)
+        elif fault == "colour mask":
+            tree[f"{d}/c.ppm"], tree[f"{d}/c.mask.pgm"] = image(16, 24, 3), image(16, 24, 3)
+        else:
+            tree[f"{d}/sub.ppm"] = None
+    return tree
+
+
+class TestScannedTreeContract:
+    """Any scanned tree ends every command in exit 0, 2 (data error) or 3
+    (numeric failure), never in a traceback, and a failing command leaves
+    no output directory. The config is valid, so 1 would report a data
+    fault as a config error."""
+
+    _COMMANDS = ("simulate", "train", "eval", "saliency", "report", "sweep-alpha")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(tree=_scanned_trees())
+    def test_random_tree(self, contract_inputs, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "data"
+            for rel, content in tree.items():
+                path = root / rel
+                if content is None:
+                    path.mkdir(parents=True, exist_ok=True)
+                elif isinstance(content, bytes):
+                    path.write_bytes(content)
+                else:
+                    save_image(content, path)
+            cfg = Path(tmp) / "cfg.ini"
+            cfg.write_text(
+                TINY_CONFIG.replace("iterations = 30", "iterations = 2")
+                .replace("[dataset]", f"[dataset]\nroot = {root}"),
+                encoding="utf-8",
+            )
+            ckpt = str(contract_inputs["ckpt"])
+            extras = {"eval": ["--checkpoint", ckpt], "saliency": ["--checkpoint", ckpt],
+                      "sweep-alpha": ["--alphas", "0.5,0.9"]}
+            for command in self._COMMANDS:
+                extra = extras.get(command, [])
+                out = Path(tmp) / f"out_{command}"
+                code, err = _run_contained([command, "--config", str(cfg), "--out", str(out), *extra])
+                assert code in (0, 2, 3), (command, err)
+                assert "Traceback" not in err, (command, err)
+                assert code == 0 or not out.exists(), (command, err)

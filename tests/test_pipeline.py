@@ -216,7 +216,7 @@ class TestEachCommandReadsItsSide:
 
     def test_eval_renders_the_test_identities(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()
-        [(params, _)] = train_model([cfg])
+        [(params, _)] = train_model([cfg], prepare_experiment(cfg))
         save_checkpoint(params, tmp_path / "c.bin")
         rendered = spy_renders(monkeypatch)
         pipeline.run_eval(cfg, tmp_path / "c.bin", tmp_path / "eval")
@@ -255,7 +255,7 @@ class TestEachCommandReadsItsSide:
         masked_tree(root)
         cfg = tiny_cfg()
         cfg.dataset.root = str(root)
-        [(params, _)] = train_model([cfg])
+        [(params, _)] = train_model([cfg], prepare_experiment(cfg))
         save_checkpoint(params, tmp_path / "c.bin")
         opened = spy_decodes(monkeypatch)
         run_saliency(cfg, tmp_path / "c.bin", tmp_path / "sal")
@@ -276,7 +276,7 @@ class TestTrainModelSwitches:
 
         monkeypatch.setattr(pipeline, "train", spy)
         cfg = tiny_cfg(use_os=False)
-        train_model([cfg])
+        train_model([cfg], prepare_experiment(cfg))
         assert seen["n"] == 8  # 2 train identities x 4 images
         assert seen["flags"] == {Occlusion.FULL_BODY}
 
@@ -289,7 +289,8 @@ class TestTrainModelSwitches:
             return original(samples, cfgs, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
-        train_model([tiny_cfg(use_os=True)])
+        cfg = tiny_cfg(use_os=True)
+        train_model([cfg], prepare_experiment(cfg))
         assert seen["n"] == 16
 
     def test_no_obc_forces_alpha_one(self, monkeypatch):
@@ -301,7 +302,8 @@ class TestTrainModelSwitches:
             return original(samples, cfgs, seed, occlusions)
 
         monkeypatch.setattr(pipeline, "train", spy)
-        train_model([tiny_cfg(use_obc=False)])
+        cfg = tiny_cfg(use_obc=False)
+        train_model([cfg], prepare_experiment(cfg))
         assert seen["alpha"] == [1.0]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -314,13 +316,13 @@ class TestTrainModelSwitches:
         cfg.train.iterations = 1
         cfg.train.alpha = alpha
         with pytest.warns(UserWarning, match=re.escape(f"[train] alpha = {alpha} ")) as caught:
-            train_model([cfg])
+            train_model([cfg], prepare_experiment(cfg))
         # the reported location is the caller's source line, not generated code
         assert [Path(w.filename).suffix for w in caught] == [".py"]
         cfg.run.use_obc = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_model([cfg])
+            train_model([cfg], prepare_experiment(cfg))
 
     def test_report_and_sweep_warn_per_training_at_alpha_0_or_1(self, tmp_path):
         # report: only the two regimes with the OBC loss on train with the
@@ -350,7 +352,7 @@ class TestTrainModelSwitches:
         cfg.occlusion.regenerate_per_epoch = True
         cfg.train.iterations = 6
         cfg.train.batch_size = 8  # combined set is 16 -> epoch length 2
-        train_model([cfg])
+        train_model([cfg], prepare_experiment(cfg))
         # one build per epoch, and none for the probes, which training
         # never reads; epochs are ceil(2N / batch_size) iterations from the
         # full-body count N, and later epochs derive fresh streams
@@ -362,8 +364,8 @@ class TestTrainModelSwitches:
         cfg_fixed = tiny_cfg()
         cfg_regen = tiny_cfg()
         cfg_regen.occlusion.regenerate_per_epoch = True
-        [(p_fixed, h_fixed)] = train_model([cfg_fixed])
-        [(p_regen, h_regen)] = train_model([cfg_regen])
+        [(p_fixed, h_fixed)] = train_model([cfg_fixed], prepare_experiment(cfg_fixed))
+        [(p_regen, h_regen)] = train_model([cfg_regen], prepare_experiment(cfg_regen))
         assert len(h_fixed) == len(h_regen) == 20
         assert any(
             not np.array_equal(a, b)
@@ -404,15 +406,15 @@ class TestSharedPreparation:
         train_model, evaluate_model = pipeline.train_model, pipeline.evaluate_model
         own = []
 
-        def train_on_own_data(group, data):
+        def train_on_own_data(variants, data):
             trained = []
-            for sub in group:
+            for sub in variants:
                 own.append(pipeline.prepare_experiment(sub))
                 trained += train_model([sub], own[-1])
             return trained
 
-        def evaluate_on_own_data(cfg, group, data, pixels):
-            return evaluate_model(cfg, group, own[-1])
+        def evaluate_on_own_data(cfg, params_list, data):
+            return [evaluate_model(cfg, [p], d)[0] for p, d in zip(params_list, own)]
 
         monkeypatch.setattr(pipeline, "train_model", train_on_own_data)
         monkeypatch.setattr(pipeline, "evaluate_model", evaluate_on_own_data)
@@ -458,17 +460,68 @@ class TestLockstepGrid:
         assert [a[2] for a in calls["build_occlusion_set"]] == built
         assert len(calls["preprocess_images"]) == 1
 
-    def test_a_group_may_differ_only_in_alpha_and_use_obc(self):
-        with pytest.raises(ValueError, match="differ in more than alpha and use_obc"):
-            train_model([tiny_cfg(use_os=True), tiny_cfg(use_os=False)])
+    def test_a_mixed_list_trains_a_group_per_key_in_first_variant_order(self, monkeypatch):
+        on, off, other = tiny_cfg(use_os=True), tiny_cfg(use_os=False), tiny_cfg(use_os=True)
+        other.train.alpha = 0.6
+        groups, real = [], pipeline.train
+
+        def spy(samples, cfgs, seed, occlusions=None):
+            groups.append((len(samples), [c.alpha for c in cfgs]))
+            return real(samples, cfgs, seed, occlusions)
+
+        monkeypatch.setattr(pipeline, "train", spy)
+        trained = train_model([on, off, other], prepare_experiment(on))
+        # [on, other] on the combined set of 16, then [off] on the 8 full-body images
+        assert groups == [(16, [0.8, 0.6]), (8, [0.8])]
+        for variant, (params, history) in zip([on, off, other], trained):
+            [(alone, alone_history)] = train_model([variant], prepare_experiment(variant))
+            assert history == alone_history
+            for name, tensor in params.tensors.items():
+                np.testing.assert_array_equal(tensor, alone.tensors[name])
+
+    def test_every_group_trains_before_the_first_failure_in_variant_order(
+        self, tmp_path, monkeypatch
+    ):
+        # baseline (variant 0, first group) fails at iteration 2 and full
+        # (variant 3, second group) at iteration 1: the second group still
+        # trains, baseline's failure is raised, and nothing is written
+        import occreid.model as model
+        from occreid.errors import NonFiniteGradient
+
+        cfg = tiny_cfg()
+        cfg.train.iterations = 8
+        real_train, real_step = pipeline.train, model.sgd_step
+        groups, steps = [], {}
+
+        def spy_train(samples, cfgs, seed, occlusions=None):
+            groups.append([c.alpha for c in cfgs])
+            return real_train(samples, cfgs, seed, occlusions)
+
+        def failing_step(params, grads, lr):
+            member = (len(groups) - 1, bool(np.any(grads["obc.w"])))
+            steps[member] = steps.get(member, 0) + 1
+            if member == (0, False) and steps[member] == 3:
+                raise NonFiniteGradient("baseline blew up")
+            if member == (1, True) and steps[member] == 2:
+                raise NonFiniteGradient("full blew up")
+            return real_step(params, grads, lr)
+
+        monkeypatch.setattr(pipeline, "train", spy_train)
+        monkeypatch.setattr(model, "sgd_step", failing_step)
+        with pytest.raises(NonFiniteGradient, match=r"^iteration 2: baseline blew up$"):
+            pipeline.run_ablation(cfg, tmp_path / "report")
+        assert groups == [[1.0, 0.8], [1.0, 0.8]]
+        assert steps == {(0, False): 3, (0, True): 8, (1, False): 8, (1, True): 2}
+        assert not (tmp_path / "report").exists()
 
     def test_grid_raises_the_failure_the_serial_loop_meets_first(
         self, tmp_path, monkeypatch, capsys
     ):
         # obc_only, a later variant in the first group, fails at iteration 2;
         # os_only, an earlier variant in the second group, fails at iteration
-        # 5. A variant-by-variant loop trains os_only first, so its failure
-        # is the one raised, and nothing is written.
+        # 5. os_only's failure is the first in variant order, so it is the
+        # one raised (as a variant-by-variant loop would), and nothing is
+        # written.
         import occreid.model as model
         from occreid.cli import main
         from occreid.config import render_config
@@ -636,7 +689,7 @@ class TestMaskMaxval:
         cfg = tiny_cfg()
         cfg.dataset.root = str(root)
         ckpt = tmp_path / "c.bin"
-        save_checkpoint(train_model([cfg])[0][0], ckpt)
+        save_checkpoint(train_model([cfg], prepare_experiment(cfg))[0][0], ckpt)
         tables = []
         for maxval in (255, 1):
             header = b"P5\n16 24\n%d\n" % maxval
@@ -646,6 +699,31 @@ class TestMaskMaxval:
             assert summary["model"]["mean_precision"] > 0.0
             tables.append((tmp_path / f"out{maxval}" / "precision_model.tsv").read_bytes())
         assert tables[0] == tables[1]
+
+
+class TestSynthesizedProbeMasks:
+    def test_only_images_read_from_the_tree_are_scored(self, tmp_path):
+        # no test identity has an occluded/ image, so the probes are
+        # synthesized from whole/ images that have masks beside them
+        root = tmp_path / "data"
+        mask = Image(np.full((24, 16), 255, np.uint8))
+        (root / "occluded").mkdir(parents=True)
+        for s in generate_synthetic_dataset(4, 4, 16, 24, SplitMix64(3)):
+            d = root / "whole" / f"{s.identity:03d}"
+            d.mkdir(parents=True, exist_ok=True)
+            save_image(s.image, d / f"{s.id}.ppm")
+            save_image(mask, d / f"{s.id}.mask.pgm")
+        cfg = tiny_cfg()
+        cfg.dataset.root = str(root)
+        data = prepare_experiment(cfg)
+        [(params, _)] = train_model([cfg], data)
+        save_checkpoint(params, tmp_path / "c.bin")
+        summary = run_saliency(cfg, tmp_path / "c.bin", tmp_path / "sal")
+        assert summary["model"]["maps"] == len(data.test_samples)
+        rows = (tmp_path / "sal" / "precision_model.tsv").read_text().splitlines()
+        fulls = [s.id for s in data.test_samples if s.occlusion is Occlusion.FULL_BODY]
+        assert len(fulls) < len(data.test_samples)
+        assert [r.split("\t")[0] for r in rows if not r.startswith("#")] == fulls
 
 
 class TestSaliencyComparison:
