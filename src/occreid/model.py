@@ -6,10 +6,9 @@ linear heads sit on top: a K-way identity classifier and a 2-way
 occluded/non-occluded classifier. The training objective is the weighted
 sum alpha * identity_loss + (1 - alpha) * occlusion_loss, minimized by
 plain SGD. Forward, backward and the update are written out by hand on
-numpy arrays and compute in the dtype of the parameters: training runs in
-float32 from float32-exact initial weights, while evaluation, saliency and
-the gradient checks run in float64. Checkpoints store float32, so a trained
-model loses nothing when saved.
+numpy arrays and compute in the dtype of the parameters. Models are
+float32 from init_params through training, the checkpoint, evaluation and
+saliency; only the gradient checks hand in float64 parameters.
 
 Inside the trunk every activation is stored channel-major with the batch
 innermost, (C, H, W, B), as in cuda-convnet. im2col then copies runs of B
@@ -141,7 +140,7 @@ class TrainConfig:
 @dataclass
 class ModelParams:
     """All learnable tensors by name, keyed and ordered like _param_shapes,
-    all of one float dtype (float32 inside train, float64 everywhere else);
+    all of one float dtype (float32 unless a caller builds float64 ones);
     immutable by convention (updates build a new instance)."""
 
     arch: ArchSpec
@@ -187,25 +186,19 @@ def _param_shapes(arch: ArchSpec, num_classes: int) -> list:
     ]
 
 
-def _cast(params: ModelParams, dtype) -> ModelParams:
-    return ModelParams(params.arch, {name: a.astype(dtype) for name, a in params.tensors.items()})
-
-
 def init_params(arch: ArchSpec, num_classes: int, seed: int) -> ModelParams:
-    """He-style uniform init, bound sqrt(6 / fan_in); biases start at zero.
-
-    Each float64 draw is rounded through float32, so the float64 arrays
-    returned cast to float32 and back without change."""
+    """He-style uniform init, bound sqrt(6 / fan_in), drawn in float64 and
+    returned in float32; biases start at zero."""
     if num_classes < 2:
         raise ValueError(f"need >= 2 identity classes, got {num_classes}")
     gen = np.random.Generator(np.random.PCG64(seed))
     tensors = {}
     for name, shape in _param_shapes(arch, num_classes):
         if name.endswith(".b"):
-            tensors[name] = np.zeros(shape)
+            tensors[name] = np.zeros(shape, np.float32)
         else:
             bound = np.sqrt(6.0 / math.prod(shape[1:]))
-            tensors[name] = gen.uniform(-bound, bound, shape).astype(np.float32).astype(np.float64)
+            tensors[name] = gen.uniform(-bound, bound, shape).astype(np.float32)
     return ModelParams(arch, tensors)
 
 
@@ -374,10 +367,9 @@ def train(samples, cfgs, seed: int, occlusions=None) -> list:
     Each model then runs its own forward, backward and sgd_step, so its
     params and history are bit-identical to those of a one-element group.
 
-    Every step runs in float32: the float32-exact initial weights are cast
-    down once, and each batch is converted straight to float32. The
-    returned params are float64 arrays holding float32 values, so a
-    checkpoint of them stores them exactly.
+    Every step runs in float32, the dtype of init_params: each batch is
+    converted straight to float32, and the returned params are float32, as
+    a checkpoint stores them.
 
     The resized set is stacked once as an (N, R, R, C) uint8 array; each
     batch gathers its crops from a window view of it in one indexing step
@@ -421,8 +413,7 @@ def train(samples, cfgs, seed: int, occlusions=None) -> list:
     n = len(samples)
     identities = sorted({s.identity for s in samples})
     label_of = {ident: i for i, ident in enumerate(identities)}
-    init = _cast(init_params(arch, len(identities), derive_seed(seed, 0)), np.float32)
-    params = [init] * len(cfgs)
+    params = [init_params(arch, len(identities), derive_seed(seed, 0))] * len(cfgs)
     history = [[] for _ in cfgs]
     failures = [None] * len(cfgs)
     jitter = arch.default_jitter if cfg.max_jitter == -1 else cfg.max_jitter
@@ -479,8 +470,7 @@ def train(samples, cfgs, seed: int, occlusions=None) -> list:
                 failures[k] = type(e)(f"iteration {it}: {e}")
                 failures[k].__cause__ = e
     return [
-        (_cast(p, np.float64), h) if failure is None else failure
-        for p, h, failure in zip(params, history, failures)
+        (p, h) if failure is None else failure for p, h, failure in zip(params, history, failures)
     ]
 
 
@@ -594,7 +584,7 @@ def load_checkpoint(path) -> ModelParams:
         narrow = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
         if not np.all(np.isfinite(narrow)):
             raise CorruptData(f"{path}: tensor {name} holds NaN or inf")
-        tensors[name] = narrow.astype(np.float64).reshape(shape)
+        tensors[name] = narrow.astype(np.float32).reshape(shape)
         pos += 4 * count
     if pos != len(data):
         raise CorruptData(f"{path}: {len(data) - pos} trailing bytes")

@@ -357,8 +357,8 @@ def _run_grid(cfg: ExperimentConfig, variants: list, out_dir: Path) -> dict:
 
     train_model trains every variant, then every model is evaluated, and
     provenance is written after the last. A checkpoint stores train's
-    float32-exact params, so each result equals `train` plus `eval` of its
-    checkpoint."""
+    float32 params as they are, so each result equals `train` plus `eval`
+    of its checkpoint."""
     data = prepare_experiment(cfg)
     # a throwaway draw at the largest shot count: too few images fail before training
     draw_gallery(gallery_pool(data.test_samples)[0], max(cfg.eval.shots), SplitMix64(0))

@@ -779,7 +779,7 @@ class TestGridMatchesCheckpointPath:
     def test_in_memory_eval_matches_the_checkpoint_path(
         self, tmp_path, grid_results, name, use_os, use_obc
     ):
-        # the grid evaluates train's float32-exact params as they are; a
+        # the grid evaluates train's float32 params as they are; a
         # train command under the regime's switches followed by an eval of
         # its checkpoint must agree
         cfg = _grid_cfg()
